@@ -8,7 +8,9 @@ topological sweep, so ``backward`` visits each node exactly once.
 
 Tensors are immutable once created except for gradient accumulation; a tape
 and its tensors belong to one worker at a time. Tapes are not reused across
-training steps — dropping the loss tensor frees the whole graph.
+training steps — dropping the loss tensor frees the whole graph. ``backward``
+writes ``.grad`` on leaves only and frees each intermediate gradient as soon
+as it has been pushed to the node's inputs.
 """
 
 from __future__ import annotations
@@ -434,9 +436,13 @@ def adaptive_avg_pool1d(x: Tensor, out_len: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every requires_grad ancestor.
+    """Accumulate d(loss)/d(t) into t.grad for every requires_grad leaf.
 
-    Repeated calls without zeroing add. Non-scalar losses are rejected.
+    Leaves are tensors not produced by a recorded op (``node is None``):
+    parameters, inputs, and the loss itself when it is one. Intermediate
+    gradients are dropped as soon as their node's rule has run, so their
+    ``.grad`` stays None. Repeated calls without zeroing add into the leaves.
+    Non-scalar losses are rejected.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -447,11 +453,13 @@ def backward(loss: Tensor) -> None:
     # a higher sequence number than its producer, so each node is processed
     # after its output gradient is complete.
     nodes: dict[int, tuple[Node, Tensor]] = {}
+    leaves: dict[int, Tensor] = {}
     stack = [loss]
     seen = {id(loss)}
     while stack:
         t = stack.pop()
         if t.node is None:
+            leaves[id(t)] = t
             continue
         nodes[t.node.seq] = (t.node, t)
         for inp in t.node.inputs:
@@ -460,10 +468,9 @@ def backward(loss: Tensor) -> None:
                 stack.append(inp)
 
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    keep: dict[int, Tensor] = {id(loss): loss}
     for seq in sorted(nodes, reverse=True):
         node, out = nodes[seq]
-        g_out = acc.get(id(out))
+        g_out = acc.pop(id(out), None)
         if g_out is None:
             continue
         grads = node.backward_rule(g_out)
@@ -475,10 +482,11 @@ def backward(loss: Tensor) -> None:
                 acc[key] = acc[key] + g
             else:
                 acc[key] = g
-                keep[key] = inp
 
-    for key, t in keep.items():
-        g = acc[key]
+    for key, t in leaves.items():
+        g = acc.get(key)
+        if g is None:
+            continue
         if t.grad is None:
             t.grad = np.array(g, dtype=np.float64)
         else:

@@ -8,6 +8,7 @@ reports what it repaired instead of failing.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -159,8 +160,14 @@ def parse_edf(data: bytes, strict: bool = True):
     header_bytes, hb_at = cur.int_field(8, "header_bytes")
     reserved, _ = cur.field(44, "reserved")
     n_records, nr_at = cur.int_field(8, "n_records")
-    record_duration_s, _ = cur.float_field(8, "record_duration_s")
+    record_duration_s, rd_at = cur.float_field(8, "record_duration_s")
     n_signals, ns_at = cur.int_field(4, "n_signals")
+
+    if not (math.isfinite(record_duration_s) and record_duration_s > 0):
+        raise ParseError(
+            f"record_duration_s must be positive and finite, got {record_duration_s}",
+            offset=rd_at,
+        )
 
     if n_signals <= 0:
         raise ParseError(f"n_signals must be positive, got {n_signals}", offset=ns_at)

@@ -149,10 +149,18 @@ class ModelParams:
         return sum(t.data.size for t in self.params())
 
     def copy(self) -> "ModelParams":
-        dup = ModelParams(self.config)
-        for (_, src), (_, dst) in zip(self.named_params(), dup.named_params()):
-            dst.data = src.data.copy()
-            dst.grad = None
+        """Independent tensors holding the same values; the config is shared."""
+        def clone(t: Tensor) -> Tensor:
+            return Tensor(t.data.copy(), requires_grad=t.requires_grad)
+
+        dup = object.__new__(ModelParams)
+        for key, value in vars(self).items():
+            if isinstance(value, Tensor):
+                value = clone(value)
+            elif isinstance(value, list):
+                value = [EncoderBlockParams(**{k: clone(t) for k, t in vars(blk).items()})
+                         for blk in value]
+            setattr(dup, key, value)
         return dup
 
 
@@ -253,19 +261,18 @@ def encoder_block_forward(
     return ad.layernorm(dff + l, block.ln2_gain, block.ln2_bias, eps=LN_EPS)
 
 
-def sst_forward(x: Tensor, xp: Tensor, params: ModelParams, config: ModelConfig) -> ForwardTrace:
-    """Full forward pass over a label-matched input pair.
+def fuse(o_x: Tensor, o_xp: Tensor, params: ModelParams, config: ModelConfig) -> ForwardTrace:
+    """Everything after the CNN, for one pairing of embedded branches.
 
-    The companion branch supplies the queries of the cross-attention stack
-    while the primary branch supplies keys and values; the class-token
-    position is then pooled, re-encoded over the epoch sequence with its own
-    positional offset, and projected to class logits.
+    The companion branch o_xp supplies the queries of the cross-attention
+    stack while the primary branch o_x supplies keys and values; the
+    class-token position is then pooled, re-encoded over the epoch sequence
+    with its own positional offset, and projected to class logits.
     """
-    if x.shape != xp.shape:
-        raise DimensionError(f"paired inputs must share a shape: {x.shape} vs {xp.shape}")
-    B, S = x.shape[0], config.S
-    o_x = cnn_block_forward(x, params, config)
-    o_xp = cnn_block_forward(xp, params, config)
+    if o_x.shape != o_xp.shape:
+        raise DimensionError(f"paired embeddings must share a shape: {o_x.shape} vs {o_xp.shape}")
+    S = config.S
+    B = o_x.shape[0] // S
 
     stream = o_xp
     for blk in params.ete:
@@ -278,3 +285,14 @@ def sst_forward(x: Tensor, xp: Tensor, params: ModelParams, config: ModelConfig)
 
     z = ad.relu(seq) @ params.w_mlp
     return ForwardTrace(o_cnn_x=o_x, o_cnn_xp=o_xp, o_ete=o_ete, o_se=seq, z=z)
+
+
+def sst_forward(x: Tensor, xp: Tensor, params: ModelParams, config: ModelConfig) -> ForwardTrace:
+    """Full forward pass over a label-matched input pair: embed both inputs
+    with the shared CNN, then `fuse`. An input passed as its own companion
+    (``xp is x``) is embedded once."""
+    if x.shape != xp.shape:
+        raise DimensionError(f"paired inputs must share a shape: {x.shape} vs {xp.shape}")
+    o_x = cnn_block_forward(x, params, config)
+    o_xp = o_x if xp is x else cnn_block_forward(xp, params, config)
+    return fuse(o_x, o_xp, params, config)

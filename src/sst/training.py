@@ -13,11 +13,12 @@ from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossConfig, total_loss
 from .metrics import MetricsReport, evaluate_metrics
-from .model import ModelConfig, ModelParams, sst_forward
+from .model import ModelConfig, ModelParams, cnn_block_forward, fuse, sst_forward
 from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 from .sampling import (
     SAMPLING_MODES,
     EpochStore,
+    PairBatch,
     SamplingMemory,
     draw_pair_batch,
     update_memory,
@@ -147,6 +148,38 @@ def validate(params: ModelParams, store_val: EpochStore, cfg: TrainConfig,
     return _infer_batches(params, store_val, windows, model_cfg, cfg.batch_size, cfg.loss)
 
 
+def _check_seq_len(cfg: TrainConfig, S: int, source: str) -> None:
+    if cfg.seq_len != S:
+        raise ConfigError(f"[train] seq_len = {cfg.seq_len} must equal {source} = {S}")
+
+
+def train_step(params: ModelParams, adam: AdamState, batch: PairBatch, cfg: TrainConfig,
+               model_cfg: ModelConfig, step: int) -> dict[str, float]:
+    """One optimizer step on a paired batch; returns the loss parts.
+
+    X and X' are embedded once each and fused in both pairings, (X, X') and
+    (X', X), so the shared CNN runs twice and its backward once. The graph
+    lives only inside this call.
+    """
+    o_x = cnn_block_forward(batch.X, params, model_cfg)
+    o_xp = cnn_block_forward(batch.Xp, params, model_cfg)
+    trace = fuse(o_x, o_xp, params, model_cfg)
+    trace_rev = fuse(o_xp, o_x, params, model_cfg)
+    breakdown = total_loss(trace, trace_rev, batch.Y, cfg.loss)
+    parts = {name: getattr(breakdown, name).item() for name in ("total", "ls", "cos", "kl")}
+    if not math.isfinite(parts["total"]):
+        raise NumericalError(
+            f"non-finite loss at step {step}: total={parts['total']}, "
+            f"ls={parts['ls']}, cos={parts['cos']}, kl={parts['kl']}"
+        )
+    zero_grads(params.params())
+    breakdown.total.backward()
+    clip_global_norm(params.params(), cfg.clip_norm)
+    adam_step(params.params(), adam, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
+              weight_decay=cfg.weight_decay)
+    return parts
+
+
 def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig,
           validate_fn=None):
     """Train with paired batches; return (best params, RunSummary).
@@ -155,6 +188,7 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig,
     validate_fn replaces validate() for harness tests; it receives
     (params, store_val, cfg, model_cfg) and returns (loss, MetricsReport).
     """
+    _check_seq_len(cfg, model_cfg.S, "[model] S")
     validate_fn = validate_fn if validate_fn is not None else validate
     root = np.random.SeedSequence(cfg.seed)
     split_seq, init_seq, sampler_seq = root.spawn(3)
@@ -167,7 +201,7 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig,
     history: list[dict] = []
     best_metric = -math.inf
     best_step = 0
-    best_params = params.copy()
+    best_params: ModelParams | None = None   # set at the first improvement, else at the end
     best_report: MetricsReport | None = None
     bad_streak = 0
     stopped_early = False
@@ -175,20 +209,7 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig,
 
     for step in range(1, cfg.max_steps + 1):
         batch = draw_pair_batch(store_train, memory, cfg.batch_size, cfg.seq_len, sampler_rng)
-        trace = sst_forward(batch.X, batch.Xp, params, model_cfg)
-        trace_rev = sst_forward(batch.Xp, batch.X, params, model_cfg)
-        breakdown = total_loss(trace, trace_rev, batch.Y, cfg.loss)
-        total = breakdown.total.item()
-        if not math.isfinite(total):
-            raise NumericalError(
-                f"non-finite loss at step {step}: total={total}, "
-                f"ls={breakdown.ls.item()}, cos={breakdown.cos.item()}, kl={breakdown.kl.item()}"
-            )
-        zero_grads(params.params())
-        breakdown.total.backward()
-        clip_global_norm(params.params(), cfg.clip_norm)
-        adam_step(params.params(), adam, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
-                  weight_decay=cfg.weight_decay)
+        train_step(params, adam, batch, cfg, model_cfg, step)
         steps_trained = step
 
         if step % cfg.validate_every == 0:
@@ -235,6 +256,7 @@ def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainCon
             f"test epochs are ({C}, {T}) but the checkpoint expects "
             f"({model_cfg.C}, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
         )
+    _check_seq_len(cfg, model_cfg.S, "the checkpoint's S")
     windows = sequential_windows(store_test, cfg.seq_len)
     if not windows:
         raise DataError(f"test store has no subject with {cfg.seq_len} consecutive epochs")

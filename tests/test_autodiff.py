@@ -287,6 +287,26 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
+    def test_grad_written_on_leaves_only(self, rng):
+        x = _param(rng.normal(size=(2, 3)))
+        w = _param(rng.normal(size=(3, 4)))
+        h = x @ w
+        y = ad.gelu(h)
+        loss = (y * y).sum()
+        ad.backward(loss)
+        assert h.grad is None and y.grad is None and loss.grad is None
+        gx, gw = x.grad.copy(), w.grad.copy()
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * gx)
+        np.testing.assert_array_equal(w.grad, 2.0 * gw)
+        assert h.grad is None and y.grad is None
+
+    def test_leaf_loss_gets_unit_grad(self):
+        x = _param([4.0])
+        ad.backward(x)
+        ad.backward(x)
+        np.testing.assert_array_equal(x.grad, [2.0])
+
     def test_diamond_graph(self, rng):
         x_val = rng.normal(size=4)
         x = _param(x_val)

@@ -129,6 +129,15 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="digital min"):
             parse_edf(bytes(blob))
 
+    @pytest.mark.parametrize("duration", [b"0       ", b"nan     ", b"-1      "])
+    def test_record_duration_must_be_positive_and_finite(self, duration):
+        blob = bytearray(self.blob())
+        blob[244:252] = duration  # record_duration_s field
+        for strict in (True, False):
+            with pytest.raises(ParseError, match="record_duration_s") as err:
+                parse_edf(bytes(blob), strict=strict)
+            assert err.value.offset == 244
+
     def test_lenient_repairs_padded_numeric(self):
         blob = bytearray(self.blob())
         blob[236:244] = b"2 rec   "  # n_records field

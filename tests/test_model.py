@@ -4,6 +4,7 @@ the Siamese weight sharing, and gradient checks through an encoder block."""
 import numpy as np
 import pytest
 
+import sst.model
 from sst import autodiff as ad
 from sst.autodiff import Tensor
 from sst.errors import ConfigError, DimensionError
@@ -290,6 +291,26 @@ class TestModelParams:
         np.testing.assert_array_equal(params.ete[0].ln1_gain.data, np.ones(cfg.D))
         np.testing.assert_array_equal(params.ete[0].ln2_bias.data, np.zeros(cfg.D))
         assert np.std(params.cls_token.data) < 0.1
+
+    def test_copy_does_not_reinitialize(self, rng, monkeypatch):
+        cfg = toy_config(d=2)
+        params = ModelParams(cfg, rng)
+        params.w_mlp.grad = np.ones_like(params.w_mlp.data)
+
+        def no_init(*args):
+            raise AssertionError("copy() re-ran the random initialization")
+
+        monkeypatch.setattr(sst.model, "_uniform", no_init)
+        monkeypatch.setattr(sst.model, "_encoder_block", no_init)
+        dup = params.copy()
+        assert dup.config is params.config
+        assert [n for n, _ in dup.named_params()] == [n for n, _ in params.named_params()]
+        for (_, src), (_, dst) in zip(params.named_params(), dup.named_params()):
+            assert dst.data.tobytes() == src.data.tobytes()
+            assert dst.data is not src.data
+            assert dst.requires_grad and dst.grad is None and dst.node is None
+        dup.se[1].wq.data[0, 0] += 1.0
+        assert params.se[1].wq.data[0, 0] != dup.se[1].wq.data[0, 0]
 
     def test_copy_is_deep(self, rng):
         cfg = toy_config()

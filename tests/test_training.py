@@ -4,17 +4,24 @@ non-finite loss, transfer checks, and the variance experiment plumbing."""
 import numpy as np
 import pytest
 
+import sst.model
+import sst.training
+from sst import autodiff as ad
+from sst.checkpoint import save_checkpoint
 from sst.errors import ConfigError, DataError, NumericalError
 from sst.ingest import synth_dataset
+from sst.losses import total_loss
 from sst.metrics import evaluate_metrics
-from sst.model import ModelConfig, ModelParams
-from sst.sampling import EpochStore
+from sst.model import ModelConfig, ModelParams, sst_forward
+from sst.optim import AdamState
+from sst.sampling import EpochStore, SamplingMemory, draw_pair_batch
 from sst.training import (
     RunSummary,
     TrainConfig,
     sequential_windows,
     split_subjects,
     train,
+    train_step,
     transfer_evaluate,
     validate,
     variance_experiment,
@@ -227,6 +234,10 @@ class TestTrain:
         _, summary2 = train(store, toy_train_config(seed=1), toy_model_config())
         assert summary1.history != summary2.history
 
+    def test_seq_len_must_match_model_s(self):
+        with pytest.raises(ConfigError, match=r"seq_len = 3.*\[model\] S = 2"):
+            train(toy_store(), toy_train_config(seq_len=3), toy_model_config())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_non_finite_loss(self, rng):
         records = []
@@ -236,6 +247,70 @@ class TestTrain:
         store = EpochStore(records)
         with pytest.raises(NumericalError, match="step 1"):
             train(store, toy_train_config(), toy_model_config())
+
+
+def count_embeddings(monkeypatch):
+    """Count cnn_block_forward calls wherever training or the model looks it up."""
+    calls = []
+    real = sst.model.cnn_block_forward
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(sst.training, "cnn_block_forward", counted)
+    monkeypatch.setattr(sst.model, "cnn_block_forward", counted)
+    return calls
+
+
+class TestTrainStep:
+    def test_fused_gradients_match_two_full_forwards(self):
+        store = toy_store()
+        model_cfg = toy_model_config(d=2)
+        cfg = toy_train_config(batch_size=3, clip_norm=1e12)
+        batch = draw_pair_batch(store, SamplingMemory(mode="none"), cfg.batch_size,
+                                cfg.seq_len, np.random.default_rng(5))
+        fused = ModelParams(model_cfg, np.random.default_rng(2))
+        reference = fused.copy()
+
+        parts = train_step(fused, AdamState(fused.params()), batch, cfg, model_cfg, 1)
+
+        trace = sst_forward(batch.X, batch.Xp, reference, model_cfg)
+        trace_rev = sst_forward(batch.Xp, batch.X, reference, model_cfg)
+        loss = total_loss(trace, trace_rev, batch.Y, cfg.loss).total
+        ad.backward(loss)
+        assert parts["total"] == loss.item()
+        for (name, a), (_, b) in zip(fused.named_params(), reference.named_params()):
+            scale = np.linalg.norm(b.grad)
+            assert scale > 0, name
+            assert np.linalg.norm(a.grad - b.grad) <= 1e-12 * scale, name
+
+    def test_each_input_embedded_once(self, monkeypatch):
+        calls = count_embeddings(monkeypatch)
+        store = toy_store()
+        model_cfg = toy_model_config()
+        cfg = toy_train_config(max_steps=3, validate_every=10, batch_size=3)
+        params, _ = train(store, cfg, model_cfg)
+        assert calls == [3] * 6            # X and X' once per step
+
+        del calls[:]
+        windows = sequential_windows(store, cfg.seq_len)
+        validate(params, store, cfg, model_cfg)
+        n_batches = -(-len(windows) // cfg.batch_size)
+        assert len(calls) == n_batches     # X' := X is embedded once per batch
+        assert sum(calls) == len(windows)
+
+    def test_checkpoints_byte_identical_under_seed(self, tmp_path):
+        store = toy_store()
+        cfg = toy_train_config(max_steps=6, validate_every=2, patience=10)
+        model_cfg = toy_model_config(d=2)
+        blobs = []
+        for run in ("a", "b"):
+            params, _ = train(store, cfg, model_cfg)
+            path = tmp_path / f"{run}.ckpt"
+            save_checkpoint(str(path), params)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestTransferEvaluate:
@@ -255,6 +330,13 @@ class TestTransferEvaluate:
         store = synth_dataset(2, 6, fs=20, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError, match="[Rr]esample"):
             transfer_evaluate(params, store, toy_train_config(), model_cfg)
+
+    def test_seq_len_must_match_checkpoint_s(self):
+        model_cfg = toy_model_config()
+        params = ModelParams(model_cfg, np.random.default_rng(3))
+        store = toy_store(subjects=2, epochs=6)
+        with pytest.raises(ConfigError, match=r"seq_len = 20.*checkpoint's S = 2"):
+            transfer_evaluate(params, store, TrainConfig(), model_cfg)
 
 
 class TestVarianceExperiment:

@@ -20,14 +20,13 @@ import itertools
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtr
 
 from .errors import ContractError, DimensionError
 
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
 
-_INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
 
@@ -225,11 +224,11 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact erf formulation of the normal CDF.
 
-    Phi is evaluated as erfc(-x/sqrt(2))/2 so the deep negative tail keeps its
-    magnitude instead of cancelling to zero.
+    Phi is scipy's ndtr, which works through erfc away from zero, so the deep
+    negative tail keeps its magnitude instead of cancelling to zero.
     """
     x = a.data
-    cdf = 0.5 * erfc(-x * _INV_SQRT2)
+    cdf = ndtr(x)
     out = x * cdf
 
     def bwd(g):

@@ -7,24 +7,14 @@ Exit codes: 0 success, 1 usage or configuration, 2 data or parsing,
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
 import time
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import DataConfig, load_run_config, resolve_seed
-from .edf import (
-    EdfHeader,
-    EdfSignalHeader,
-    digital_from_physical,
-    parse_edf,
-    parse_tal_annotations,
-    write_edf,
-)
+from .config import load_run_config, resolve_seed
+from .edf import ANNOTATION_LABEL, parse_edf, parse_tal_annotations
 from .errors import (
     ConfigError,
     ContractError,
@@ -33,87 +23,10 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .ingest import (
-    epoch_and_label,
-    labels_from_text,
-    labels_to_text,
-    resample,
-    select_trace,
-    synth_dataset,
-)
+from .ingest import export_edf, load_store
 from .metrics import MetricsReport
-from .model import ModelConfig, ModelParams
-from .sampling import STAGE_NAMES, EpochStore
-from .training import TrainConfig, train, transfer_evaluate, variance_experiment
-
-ANNOTATION_LABEL = "EDF Annotations"
-
-
-def load_edf_store(path: str, channel: str, target_fs: float | None = None,
-                   strict: bool = True, epoch_s: float = 30.0) -> EpochStore:
-    """Build an EpochStore from one EDF file or a directory of them.
-
-    Labels come from a '<stem>.labels' sidecar when present, otherwise from
-    the file's own TAL annotation signal.
-    """
-    if os.path.isdir(path):
-        files = sorted(glob.glob(os.path.join(path, "*.edf")))
-    elif os.path.exists(path):
-        files = [path]
-    else:
-        raise DataError(f"data path does not exist: {path}")
-    if not files:
-        raise DataError(f"no .edf files under {path}")
-
-    records = []
-    total_dropped = 0
-    for filename in files:
-        with open(filename, "rb") as fh:
-            header, traces, _ = parse_edf(fh.read(), strict=strict)
-        trace = select_trace(traces, channel)
-        if target_fs is not None and trace.fs != target_fs:
-            trace = resample(trace, target_fs)
-        subject = os.path.splitext(os.path.basename(filename))[0]
-
-        sidecar = os.path.splitext(filename)[0] + ".labels"
-        if os.path.exists(sidecar):
-            with open(sidecar, "r", encoding="ascii") as fh:
-                labels = labels_from_text(fh.read())
-            T = int(round(trace.fs * epoch_s))
-            available = len(trace.samples) // T
-            if len(labels) > available:
-                raise DataError(
-                    f"{sidecar}: {len(labels)} labels but only {available} epochs in the signal"
-                )
-            for k, label in enumerate(labels):
-                records.append((subject, trace.samples[k * T : (k + 1) * T].reshape(1, T), int(label)))
-        else:
-            tal = [t for t in traces if ANNOTATION_LABEL.lower() in t.label.lower()]
-            if not tal:
-                raise DataError(
-                    f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}"
-                )
-            hyp = parse_tal_annotations(tal[0].digital.astype("<i2").tobytes())
-            subject_records, dropped = epoch_and_label(trace, hyp, epoch_s, subject=subject)
-            total_dropped += dropped
-            records.extend(subject_records)
-    if total_dropped:
-        print(f"dropped {total_dropped} epochs without a fully covering stage", file=sys.stderr)
-    return EpochStore(records)
-
-
-def load_store(data: DataConfig, model: ModelConfig, role: str,
-               resample_to: float | None = None) -> EpochStore:
-    if data.source == "synth":
-        if role == "test":
-            rng = np.random.default_rng(data.test_seed)
-            return synth_dataset(data.test_subjects, data.test_epochs, fs=model.fs,
-                                 noise_sd=data.noise_sd, rng=rng)
-        rng = np.random.default_rng(data.seed)
-        return synth_dataset(data.subjects, data.epochs, fs=model.fs,
-                             noise_sd=data.noise_sd, rng=rng)
-    path = data.test_path if role == "test" and data.test_path else data.path
-    return load_edf_store(path, data.channel, target_fs=resample_to)
+from .sampling import STAGE_NAMES
+from .training import train, transfer_evaluate, variance_experiment
 
 
 def format_stage_table(report: MetricsReport) -> str:
@@ -240,33 +153,7 @@ def cmd_synth(args) -> int:
     if run.data.source != "synth":
         raise ConfigError("synth command needs [data] source = synth")
     store = load_store(run.data, run.model, role="train")
-    os.makedirs(args.out, exist_ok=True)
-    fs = run.model.fs
-
-    for subject in store.subjects:
-        ids = store.subject_records(subject)
-        samples = np.concatenate([store.signals[i].reshape(-1) for i in ids])
-        labels = [int(store.labels[i]) for i in ids]
-        # integer span keeps the physical-range fields inside 8 ASCII chars
-        span = float(np.ceil(np.max(np.abs(samples)) + 0.5))
-        sig = EdfSignalHeader(
-            label="EEG synth", transducer="synthetic", phys_dim="uV",
-            phys_min=-span, phys_max=span, dig_min=-32768, dig_max=32767,
-            prefilter="", samples_per_record=fs,
-        )
-        n_records = len(samples) // fs
-        header = EdfHeader(
-            version="0", patient=subject, recording="synthetic dataset",
-            start_date="01.01.00", start_time="00.00.00",
-            header_bytes=512, reserved="", n_records=n_records,
-            record_duration_s=1.0, n_signals=1, signals=[sig],
-        )
-        digital = digital_from_physical(samples, sig)
-        base = os.path.join(args.out, subject)
-        with open(base + ".edf", "wb") as fh:
-            fh.write(write_edf(header, [digital]))
-        with open(base + ".labels", "w", encoding="ascii") as fh:
-            fh.write(labels_to_text(labels))
+    export_edf(store, run.model.fs, args.out)
     print(f"wrote {len(store.subjects)} EDF subjects to {args.out}")
     return 0
 

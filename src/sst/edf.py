@@ -42,6 +42,9 @@ SIGNAL_FIELDS = (
     ("reserved", 32),
 )
 
+# EDF+ label of the signal that carries TAL annotations
+ANNOTATION_LABEL = "EDF Annotations"
+
 STAGE_W, STAGE_N1, STAGE_N2, STAGE_N3, STAGE_REM = range(5)
 
 DEFAULT_STAGE_MAP = {
@@ -204,6 +207,17 @@ def parse_edf(data: bytes, strict: bool = True):
                 f"signal {i}: digital min {sig.dig_min} >= max {sig.dig_max}",
                 offset=offsets["dig_min"][i],
             )
+        for name in ("phys_min", "phys_max"):
+            if not math.isfinite(getattr(sig, name)):
+                raise ParseError(
+                    f"signal {i}: {name} must be finite, got {getattr(sig, name)}",
+                    offset=offsets[name][i],
+                )
+        if not math.isfinite(sig.phys_max - sig.phys_min):
+            raise ParseError(
+                f"signal {i}: physical range [{sig.phys_min}, {sig.phys_max}] overflows",
+                offset=offsets["phys_min"][i],
+            )
         if sig.phys_min == sig.phys_max:
             raise ParseError(
                 f"signal {i}: physical min == max == {sig.phys_min}",
@@ -327,14 +341,35 @@ class Hypnogram:
                     f"hypnogram entries overlap: [{o1}, {o1 + d1}) and onset {o2}"
                 )
 
-    def stage_for_span(self, t0: float, t1: float):
-        """Stage fully covering [t0, t1), or None."""
-        for onset, duration, stage in self.entries:
-            if onset <= t0 + 1e-9 and t1 <= onset + duration + 1e-9:
-                return stage
-            if onset > t0:
-                break
-        return None
+    def stages_for_epochs(self, n_epochs: int, epoch_s: float) -> list:
+        """Stage fully covering each epoch [k*epoch_s, (k+1)*epoch_s), or None.
+
+        Per epoch this is the first entry in onset order whose span covers
+        the epoch within 1e-9 s at either end, looking no further than the
+        first onset after the epoch start; one sorted search over all epochs
+        instead of a scan per epoch. Onsets and durations must be finite.
+        """
+        if not self.entries:
+            return [None] * n_epochs
+        k = np.arange(n_epochs)
+        t0 = k * epoch_s
+        t1 = (k + 1) * epoch_s
+        onsets = np.array([e[0] for e in self.entries], dtype=np.float64)
+        ends = onsets + np.array([e[1] for e in self.entries], dtype=np.float64) + 1e-9
+        # an entry before the first onset > t0 starts at or before t0, so it
+        # covers the epoch iff its end reaches t1: the first such entry is the
+        # first place where the running maximum of the ends reaches t1
+        first_covering = np.searchsorted(np.maximum.accumulate(ends), t1, side="left")
+        first_later = np.searchsorted(onsets, t0, side="right")
+        # the first onset > t0 itself still counts when it lies within 1e-9 of t0
+        later = np.minimum(first_later, len(onsets) - 1)
+        later_covers = ((first_later < len(onsets)) & (onsets[later] <= t0 + 1e-9)
+                        & (t1 <= ends[later]))
+        stages = [e[2] for e in self.entries]
+        return [
+            stages[c] if c < f else stages[f] if ok else None
+            for c, f, ok in zip(first_covering.tolist(), first_later.tolist(), later_covers.tolist())
+        ]
 
 
 def parse_tal_annotations(data: bytes, stage_map: dict | None = None) -> Hypnogram:
@@ -363,6 +398,12 @@ def parse_tal_annotations(data: bytes, stage_map: dict | None = None) -> Hypnogr
             duration = float(duration_text) if duration_text else None
         except ValueError:
             raise ParseError(f"TAL record {index}: bad onset/duration {timing!r}") from None
+        if not math.isfinite(onset):
+            raise ParseError(f"TAL record {index}: onset {onset_text!r} is not finite")
+        if duration is not None and not (math.isfinite(duration) and duration >= 0):
+            raise ParseError(
+                f"TAL record {index}: duration {duration_text!r} must be finite and non-negative"
+            )
         for note in annotations:
             if note not in stage_map:
                 continue

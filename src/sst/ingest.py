@@ -1,17 +1,36 @@
-"""Turning signals into training data: epoch slicing against a hypnogram,
-rational-rate resampling, label sidecar files, and the synthetic generator
-used for desk-scale runs."""
+"""Turning signals into training data: loading EDF datasets, epoch slicing
+against a hypnogram, rational-rate resampling, label sidecar files, and the
+synthetic generator used for desk-scale runs (with its EDF export)."""
 
 from __future__ import annotations
 
+import glob
+import itertools
+import os
+import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.signal import firwin, resample_poly
 
-from .edf import Hypnogram, SignalTrace
+from .edf import (
+    ANNOTATION_LABEL,
+    EdfHeader,
+    EdfSignalHeader,
+    Hypnogram,
+    SignalTrace,
+    digital_from_physical,
+    parse_edf,
+    parse_tal_annotations,
+    write_edf,
+)
 from .errors import ConfigError, DataError, ParseError
 from .sampling import EpochStore
+
+if TYPE_CHECKING:
+    from .config import DataConfig
+    from .model import ModelConfig
 
 LABEL_CHARS = "W123R"
 
@@ -22,30 +41,155 @@ DEFAULT_CLASS_FREQ_FRACTIONS = (0.02, 0.06, 0.11, 0.17, 0.23)
 MAX_RESAMPLE_FACTOR = 64
 
 
+def load_edf_store(path: str, channel: str, target_fs: float | None = None,
+                   strict: bool = True, epoch_s: float = 30.0) -> EpochStore:
+    """Build an EpochStore from one EDF file or a directory of them.
+
+    Labels come from a '<stem>.labels' sidecar when present, otherwise from
+    the file's own TAL annotation signal. With target_fs, the epochs are
+    those of the channel resampled to that rate; only labelled epochs are
+    resampled.
+    """
+    if os.path.isdir(path):
+        files = sorted(glob.glob(os.path.join(path, "*.edf")))
+    elif os.path.exists(path):
+        files = [path]
+    else:
+        raise DataError(f"data path does not exist: {path}")
+    if not files:
+        raise DataError(f"no .edf files under {path}")
+
+    records = []
+    total_dropped = 0
+    for filename in files:
+        with open(filename, "rb") as fh:
+            _, traces, _ = parse_edf(fh.read(), strict=strict)
+        trace = select_trace(traces, channel)
+        subject = os.path.splitext(os.path.basename(filename))[0]
+
+        sidecar = os.path.splitext(filename)[0] + ".labels"
+        if os.path.exists(sidecar):
+            with open(sidecar, "r", encoding="ascii") as fh:
+                labels = labels_from_text(fh.read())
+            T, available = _epoch_grid(trace, epoch_s, target_fs)
+            if len(labels) > available:
+                raise DataError(
+                    f"{sidecar}: {len(labels)} labels but only {available} epochs in the signal"
+                )
+            records.extend(_epoch_records(trace, labels.tolist(), T, target_fs, subject))
+        else:
+            tal = [t for t in traces if ANNOTATION_LABEL.lower() in t.label.lower()]
+            if not tal:
+                raise DataError(
+                    f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}"
+                )
+            hyp = parse_tal_annotations(tal[0].digital.astype("<i2").tobytes())
+            subject_records, dropped = epoch_and_label(trace, hyp, epoch_s, subject=subject,
+                                                       target_fs=target_fs)
+            total_dropped += dropped
+            records.extend(subject_records)
+    if total_dropped:
+        print(f"dropped {total_dropped} epochs without a fully covering stage", file=sys.stderr)
+    return EpochStore(records)
+
+
+def load_store(data: DataConfig, model: ModelConfig, role: str,
+               resample_to: float | None = None) -> EpochStore:
+    """The train or test EpochStore a run config describes: synthetic, or
+    EDF files resampled to resample_to when given."""
+    if data.source == "synth":
+        if role == "test":
+            rng = np.random.default_rng(data.test_seed)
+            return synth_dataset(data.test_subjects, data.test_epochs, fs=model.fs,
+                                 noise_sd=data.noise_sd, rng=rng)
+        rng = np.random.default_rng(data.seed)
+        return synth_dataset(data.subjects, data.epochs, fs=model.fs,
+                             noise_sd=data.noise_sd, rng=rng)
+    path = data.test_path if role == "test" and data.test_path else data.path
+    return load_edf_store(path, data.channel, target_fs=resample_to)
+
+
 def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, epoch_s: float = 30.0,
-                    subject: str = "unknown"):
+                    subject: str = "unknown", target_fs: float | None = None):
     """Slice a trace into epoch records labeled by the covering stage.
 
-    Returns (records, dropped): records are (subject, (1, T) signal, label);
-    epochs whose span is not fully covered by a single known stage are
-    dropped and counted.
+    With target_fs the epochs are those of resample(trace, target_fs), but
+    only the runs of kept epochs are resampled. Returns (records, dropped):
+    records are (subject, (1, T) signal, label); epochs whose span is not
+    fully covered by a single known stage are dropped and counted.
     """
-    t_float = trace.fs * epoch_s
+    T, n_epochs = _epoch_grid(trace, epoch_s, target_fs)
+    stages = hyp.stages_for_epochs(n_epochs, epoch_s)
+    return _epoch_records(trace, stages, T, target_fs, subject), stages.count(None)
+
+
+def _epoch_grid(trace: SignalTrace, epoch_s: float, target_fs: float | None):
+    """(samples per epoch, whole epochs) of the trace at target_fs, or at its
+    own rate when target_fs is None, without resampling it."""
+    n, fs = len(trace.samples), trace.fs
+    if target_fs is not None:
+        L, M = _rate_ratio(trace.fs, target_fs)
+        n, fs = -(-n * L // M), float(target_fs)
+    t_float = fs * epoch_s
     T = int(round(t_float))
     if abs(t_float - T) > 1e-9 or T <= 0:
         raise ConfigError(
-            f"epoch length {epoch_s}s at {trace.fs}Hz is {t_float} samples, not an integer"
+            f"epoch length {epoch_s}s at {fs}Hz is {t_float} samples, not an integer"
         )
-    n_epochs = len(trace.samples) // T
+    return T, n // T
+
+
+def _epoch_records(trace: SignalTrace, stages: list, T: int, target_fs: float | None,
+                   subject: str) -> list:
+    """Records of the epochs whose stage is not None, resampling each maximal
+    run of such epochs on its own."""
     records = []
-    dropped = 0
-    for k in range(n_epochs):
-        stage = hyp.stage_for_span(k * epoch_s, (k + 1) * epoch_s)
-        if stage is None:
-            dropped += 1
+    for dropped, run in itertools.groupby(enumerate(stages), key=lambda ks: ks[1] is None):
+        if dropped:
             continue
-        records.append((subject, trace.samples[k * T : (k + 1) * T].reshape(1, T), stage))
-    return records, dropped
+        run = list(run)
+        first = run[0][0]
+        span = _resampled_span(trace, first * T, (first + len(run)) * T, target_fs)
+        records.extend((subject, span[i * T : (i + 1) * T].reshape(1, T), stage)
+                       for i, (_, stage) in enumerate(run))
+    return records
+
+
+def _resampled_span(trace: SignalTrace, start: int, stop: int,
+                    target_fs: float | None) -> np.ndarray:
+    """resample(trace, target_fs).samples[start:stop], resampling only the
+    input the span depends on."""
+    if target_fs is None:
+        return trace.samples[start:stop]
+    L, M = _rate_ratio(trace.fs, target_fs)
+    if L == M:
+        return trace.samples[start:stop]
+    # Output m sits at input m*M/L and its taps reach about 32 input samples
+    # either way, so one filter length of margin covers them. Starting on a
+    # multiple of M puts the segment's outputs on the whole trace's output
+    # grid, a*L/M samples in, with the same taps in the same order.
+    margin = 64 * L + 1
+    a = max(0, (start * M // L - margin) // M * M)
+    b = min(len(trace.samples), -(-stop * M // L) + margin)
+    segment = SignalTrace(label=trace.label, fs=trace.fs, samples=trace.samples[a:b],
+                          phys_dim=trace.phys_dim)
+    offset = a * L // M
+    return resample(segment, target_fs).samples[start - offset : stop - offset]
+
+
+def _rate_ratio(fs: float, target_fs: float) -> tuple[int, int]:
+    """(L, M) with target_fs / fs = L / M, both at most MAX_RESAMPLE_FACTOR."""
+    if fs <= 0 or target_fs <= 0:
+        raise ConfigError(f"rates must be positive: {fs} -> {target_fs}")
+    ratio = Fraction(target_fs / fs).limit_denominator(1000)
+    L, M = ratio.numerator, ratio.denominator
+    if abs(L / M - target_fs / fs) > 1e-9:
+        raise ConfigError(f"rate ratio {fs} -> {target_fs} is not a small rational")
+    if max(L, M) > MAX_RESAMPLE_FACTOR:
+        raise ConfigError(
+            f"rate ratio {L}/{M} too steep (limit {MAX_RESAMPLE_FACTOR}); resample in stages"
+        )
+    return L, M
 
 
 def resample(trace: SignalTrace, target_fs: float) -> SignalTrace:
@@ -55,16 +199,7 @@ def resample(trace: SignalTrace, target_fs: float) -> SignalTrace:
     polyphase branch normalized to unit DC gain so constants pass through
     exactly. Output length is ceil(n * L / M).
     """
-    if trace.fs <= 0 or target_fs <= 0:
-        raise ConfigError(f"rates must be positive: {trace.fs} -> {target_fs}")
-    ratio = Fraction(target_fs / trace.fs).limit_denominator(1000)
-    L, M = ratio.numerator, ratio.denominator
-    if abs(L / M - target_fs / trace.fs) > 1e-9:
-        raise ConfigError(f"rate ratio {trace.fs} -> {target_fs} is not a small rational")
-    if max(L, M) > MAX_RESAMPLE_FACTOR:
-        raise ConfigError(
-            f"rate ratio {L}/{M} too steep (limit {MAX_RESAMPLE_FACTOR}); resample in stages"
-        )
+    L, M = _rate_ratio(trace.fs, target_fs)
     if L == M:
         return SignalTrace(label=trace.label, fs=float(target_fs),
                            samples=trace.samples.copy(), phys_dim=trace.phys_dim)
@@ -147,3 +282,33 @@ def synth_dataset(
             if rng.random() >= self_transition:
                 label = (label + int(rng.integers(1, 5))) % 5
     return EpochStore(records)
+
+
+def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:
+    """Write each subject of a single-channel store as '<subject>.edf' plus a
+    '<subject>.labels' sidecar, one record per second."""
+    os.makedirs(out_dir, exist_ok=True)
+    for subject in store.subjects:
+        ids = store.subject_records(subject)
+        samples = np.concatenate([store.signals[i].reshape(-1) for i in ids])
+        labels = [int(store.labels[i]) for i in ids]
+        # integer span keeps the physical-range fields inside 8 ASCII chars
+        span = float(np.ceil(np.max(np.abs(samples)) + 0.5))
+        sig = EdfSignalHeader(
+            label="EEG synth", transducer="synthetic", phys_dim="uV",
+            phys_min=-span, phys_max=span, dig_min=-32768, dig_max=32767,
+            prefilter="", samples_per_record=fs,
+        )
+        n_records = len(samples) // fs
+        header = EdfHeader(
+            version="0", patient=subject, recording="synthetic dataset",
+            start_date="01.01.00", start_time="00.00.00",
+            header_bytes=512, reserved="", n_records=n_records,
+            record_duration_s=1.0, n_signals=1, signals=[sig],
+        )
+        digital = digital_from_physical(samples, sig)
+        base = os.path.join(out_dir, subject)
+        with open(base + ".edf", "wb") as fh:
+            fh.write(write_edf(header, [digital]))
+        with open(base + ".labels", "w", encoding="ascii") as fh:
+            fh.write(labels_to_text(labels))

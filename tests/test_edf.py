@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sst.edf import (
     EdfHeader,
@@ -138,6 +140,26 @@ class TestParseErrors:
                 parse_edf(bytes(blob), strict=strict)
             assert err.value.offset == 244
 
+    @pytest.mark.parametrize("field,at,value", [
+        ("phys_min", 360, b"nan     "),
+        ("phys_max", 368, b"inf     "),
+        ("phys_min", 360, b"-inf    "),
+    ])
+    def test_physical_range_must_be_finite(self, field, at, value):
+        blob = bytearray(self.blob())
+        blob[at : at + 8] = value  # signal 0 phys_min at 256 + 16 + 80 + 8 = 360
+        for strict in (True, False):
+            with pytest.raises(ParseError, match=field) as err:
+                parse_edf(bytes(blob), strict=strict)
+            assert err.value.offset == at
+
+    def test_physical_range_overflow(self):
+        blob = bytearray(self.blob())
+        blob[360:376] = b"-1e308  1e308   "
+        with pytest.raises(ParseError, match="physical range") as err:
+            parse_edf(bytes(blob))
+        assert err.value.offset == 360
+
     def test_lenient_repairs_padded_numeric(self):
         blob = bytearray(self.blob())
         blob[236:244] = b"2 rec   "  # n_records field
@@ -192,6 +214,15 @@ class TestTal:
         with pytest.raises(ParseError, match="record 0"):
             parse_tal_annotations(b"+0\x1530\x14Sleep stage W\x00")
 
+    @pytest.mark.parametrize("timing", [
+        b"+nan\x1530", b"+inf\x1530", b"-inf\x1530",
+        b"+0\x15nan", b"+0\x15inf", b"+0\x15-30",
+    ])
+    def test_timing_must_be_finite_with_non_negative_duration(self, timing):
+        blob = b"+0\x1530\x14Sleep stage W\x14\x00" + timing + b"\x14Sleep stage 1\x14\x00"
+        with pytest.raises(ParseError, match="record 1"):
+            parse_tal_annotations(blob)
+
     def test_record_index_in_error(self):
         blob = b"+0\x1530\x14Sleep stage W\x14\x00bad\x14\x00"
         with pytest.raises(ParseError, match="record 1"):
@@ -209,8 +240,58 @@ class TestHypnogram:
 
     def test_span_lookup(self):
         hyp = Hypnogram([(0.0, 60.0, 0), (60.0, 30.0, 2)])
-        assert hyp.stage_for_span(0.0, 30.0) == 0
-        assert hyp.stage_for_span(30.0, 60.0) == 0
-        assert hyp.stage_for_span(60.0, 90.0) == 2
-        assert hyp.stage_for_span(45.0, 75.0) is None
-        assert hyp.stage_for_span(90.0, 120.0) is None
+        assert hyp.stages_for_epochs(4, 30.0) == [0, 0, 2, None]
+        assert hyp.stages_for_epochs(2, 45.0) == [0, None]  # [45, 90) straddles 60
+        assert hyp.stages_for_epochs(0, 30.0) == []
+        assert Hypnogram([]).stages_for_epochs(2, 30.0) == [None, None]
+
+    def test_epoch_boundary_tolerance(self):
+        # an onset up to 1e-9 s past the epoch start, or an end up to 1e-9 s
+        # short of the epoch end, still covers the epoch
+        hyp = Hypnogram([(0.0, 30.0 - 5e-10, 1), (30.0 + 5e-10, 30.0, 2), (60.0 + 2e-9, 30.0, 3)])
+        assert hyp.stages_for_epochs(3, 30.0) == [1, 2, None]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_batch_lookup_matches_per_span_scan(self, data):
+        hyp = data.draw(hypnograms())
+        epoch_s = data.draw(st.sampled_from([30.0, 15.0, 20.0]))
+        n_epochs = data.draw(st.integers(0, 24))
+        expected = [scan_stage_for_span(hyp, k * epoch_s, (k + 1) * epoch_s)
+                    for k in range(n_epochs)]
+        assert hyp.stages_for_epochs(n_epochs, epoch_s) == expected
+
+
+def scan_stage_for_span(hyp, t0, t1):
+    """Reference per-span scan: the first entry in onset order that covers
+    [t0, t1) within 1e-9 s, looking no further than the first onset > t0."""
+    for onset, duration, stage in hyp.entries:
+        if onset <= t0 + 1e-9 and t1 <= onset + duration + 1e-9:
+            return stage
+        if onset > t0:
+            break
+    return None
+
+
+JITTER = (0.0, 0.0, 0.0, -1e-9, -5e-10, 5e-10, 1e-9, 2e-9, 7.3, -7.3)
+
+
+@st.composite
+def hypnograms(draw):
+    """Sorted, non-overlapping entries on a 15 s grid: gaps, zero durations,
+    equal onsets, and onsets and ends within about 1e-9 s of grid points.
+    Negative durations (which a TAL stream cannot carry) make the ends
+    non-monotone. Each stage is the entry's index or None, so the chosen
+    entry shows."""
+    entries = []
+    grid = draw(st.integers(0, 3))
+    for i in range(draw(st.integers(0, 14))):
+        length = draw(st.integers(0, 4))
+        onset = 15.0 * grid + draw(st.sampled_from(JITTER))
+        duration = 15.0 * length + draw(st.sampled_from(JITTER))
+        entries.append((onset, duration, draw(st.sampled_from([i, i, None]))))
+        grid += length + draw(st.sampled_from([0, 0, 1, 2]))
+    try:
+        return Hypnogram(entries)
+    except DataError:  # jitter pushed one entry into the next
+        assume(False)

@@ -4,12 +4,14 @@ dataset generator."""
 import numpy as np
 import pytest
 
-from sst.edf import Hypnogram, SignalTrace
+from sst import ingest
+from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
 from sst.errors import ConfigError, DataError, ParseError
 from sst.ingest import (
     epoch_and_label,
     labels_from_text,
     labels_to_text,
+    load_edf_store,
     resample,
     select_trace,
     synth_dataset,
@@ -56,6 +58,90 @@ class TestEpochAndLabel:
         trace = trace_of(rng.standard_normal(100), fs=0.11)
         with pytest.raises(ConfigError):
             epoch_and_label(trace, Hypnogram([]))
+
+
+RATE_PAIRS = [(200, 100), (256, 100), (125, 100), (100, 150), (500, 100)]
+
+PATTERNS = {
+    "runs_touch_both_ends": [1, 1, None, 2, None, None, 3, 4, 0],
+    "inner_runs": [None, 1, 2, None, 3, None, None, 4, None],
+    "all_kept": [2] * 9,
+    "all_dropped": [None] * 9,
+}
+
+
+def maximal_runs(stages):
+    return sum(1 for k, s in enumerate(stages) if s is not None and (k == 0 or stages[k - 1] is None))
+
+
+class TestScoredSpanResampling:
+    """Resampling only the kept runs gives the bytes of resampling the whole
+    trace and slicing it."""
+
+    @pytest.mark.parametrize("fs,target", RATE_PAIRS)
+    @pytest.mark.parametrize("short", [0, 1])
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    def test_matches_resample_then_slice(self, fs, target, short, pattern, monkeypatch):
+        stages = PATTERNS[pattern]
+        rng = np.random.default_rng(fs + target + short)
+        # short=1: one sample short of whole epochs; downsampled, the
+        # resampled trace still holds the last epoch
+        trace = trace_of(rng.standard_normal(len(stages) * 30 * fs - short), fs=fs)
+        full = resample(trace, target).samples
+        T = 30 * target
+        n_full = len(full) // T
+        hyp = Hypnogram([(30.0 * k, 30.0, s) for k, s in enumerate(stages)])
+
+        calls = []
+        monkeypatch.setattr(ingest, "resample",
+                            lambda tr, fs_out: calls.append(len(tr.samples)) or resample(tr, fs_out))
+        records, dropped = epoch_and_label(trace, hyp, subject="s", target_fs=target)
+
+        kept = [k for k in range(n_full) if stages[k] is not None]
+        assert dropped == n_full - len(kept)
+        assert [r[2] for r in records] == [stages[k] for k in kept]
+        for k, (subject, signal, _) in zip(kept, records):
+            assert subject == "s"
+            assert signal.tobytes() == full[k * T : (k + 1) * T].reshape(1, T).tobytes()
+        assert len(calls) == maximal_runs(stages[:n_full])
+        if pattern != "all_kept":
+            assert sum(calls) < len(trace.samples)
+
+    @pytest.mark.parametrize("fs,target", RATE_PAIRS)
+    def test_sidecar_resamples_labelled_prefix(self, fs, target, tmp_path, monkeypatch):
+        digital = np.random.default_rng(fs * target).integers(-30000, 30000, size=300 * fs)
+        write_sidecar_edf(tmp_path / "night", fs, digital.astype(np.int16), "W\n1\n2\n3\nR\nR\n")
+
+        _, traces, _ = parse_edf((tmp_path / "night.edf").read_bytes())
+        full = resample(traces[0], target).samples
+        calls = []
+        monkeypatch.setattr(ingest, "resample",
+                            lambda tr, fs_out: calls.append(len(tr.samples)) or resample(tr, fs_out))
+        store = load_edf_store(str(tmp_path), "EEG", target_fs=target)
+
+        np.testing.assert_array_equal(store.labels, [0, 1, 2, 3, 4, 4])
+        assert store.signals.tobytes() == full[: 6 * 30 * target].tobytes()
+        assert len(calls) == 1 and calls[0] < len(traces[0].samples)
+
+    def test_sidecar_longer_than_signal_rejected(self, tmp_path):
+        write_sidecar_edf(tmp_path / "a", 200, np.zeros(60 * 200, dtype=np.int16), "W\nW\nW\n")
+        with pytest.raises(DataError, match="3 labels but only 2 epochs"):
+            load_edf_store(str(tmp_path), "EEG", target_fs=100)
+
+
+def write_sidecar_edf(base, fs, digital, labels_text):
+    """One-channel EDF of 1 s records at fs, plus its '.labels' sidecar."""
+    sig = EdfSignalHeader(
+        label="EEG Fpz-Cz", transducer="", phys_dim="uV", phys_min=-100.0, phys_max=100.0,
+        dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=fs,
+    )
+    header = EdfHeader(
+        version="0", patient="X", recording="X", start_date="01.01.00",
+        start_time="00.00.00", header_bytes=512, reserved="", n_records=len(digital) // fs,
+        record_duration_s=1.0, n_signals=1, signals=[sig],
+    )
+    base.with_suffix(".edf").write_bytes(write_edf(header, [digital]))
+    base.with_suffix(".labels").write_text(labels_text)
 
 
 class TestResample:

@@ -232,8 +232,16 @@ def gelu(a: Tensor) -> Tensor:
     out = x * cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf(x)) evaluated in one buffer, in the same operation
+        # order as that expression, so the result is bitwise the same.
+        d = -0.5 * x
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _make(out, (a,), bwd)
 
@@ -388,27 +396,63 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     Output length is floor((t + 2*padding - k) / stride) + 1. No kernel flip:
     learned kernels make the correlation convention canonical.
+
+    The stride is folded into the channel axis: the padded input, cut to nb
+    blocks of `stride` samples, becomes (n, c_in*stride, nb), and the kernel,
+    padded with zero taps to J*stride where J = ceil(k/stride), becomes J
+    matrices (c_out, c_in*stride). Output i reads blocks i..i+J-1, so the
+    forward pass, the kernel gradient and the input gradient are J matrix
+    products each, one per tap, over shifted views of the folded input.
     """
     n, c_in, t = x.shape
     c_out, c_in_k, k = kernel.shape
     if c_in_k != c_in:
         raise DimensionError(f"conv1d channel mismatch: input {x.shape}, kernel {kernel.shape}")
+    if stride < 1 or padding < 0:
+        raise DimensionError(f"conv1d needs stride >= 1 and padding >= 0, got {stride} and {padding}")
     if k > t + 2 * padding:
         raise DimensionError(
             f"conv1d kernel ({k}) longer than padded input ({t + 2 * padding})"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    out = np.einsum("ncik,ock->noi", windows, kernel.data, optimize=True)
-    t_out = out.shape[-1]
+    t_out = (t + 2 * padding - k) // stride + 1
+    taps = -(-k // stride)
+    nb = t_out + taps - 1
+    width = nb * stride  # padded samples the output reads, zero taps included
+    keep = min(t, width - padding)  # input samples inside that window
+    cs = c_in * stride
+    if padding == 0 and width <= t:
+        xp = x.data[:, :, :width]
+    else:
+        xp = np.zeros((n, c_in, width))
+        xp[:, :, padding : padding + keep] = x.data[:, :, :keep]
+    # (n, c, nb*s) -> (n, c*s, nb); a view when stride is 1
+    xf = xp.reshape(n, c_in, nb, stride).transpose(0, 1, 3, 2).reshape(n, cs, nb)
+    kp = np.zeros((c_out, c_in, taps * stride))
+    kp[:, :, :k] = kernel.data
+    kf = kp.reshape(c_out, c_in, taps, stride).transpose(2, 0, 1, 3).reshape(taps, c_out, cs)
+
+    out = np.matmul(kf[0], xf[:, :, :t_out])
+    for j in range(1, taps):
+        out += np.matmul(kf[j], xf[:, :, j : j + t_out])
 
     def bwd(g):
-        g_kernel = np.einsum("noi,ncik->ock", g, windows, optimize=True)
-        spread = np.einsum("noi,ock->ncik", g, kernel.data, optimize=True)
-        gxp = np.zeros_like(xp)
-        for kk in range(k):
-            gxp[:, :, kk : kk + stride * (t_out - 1) + 1 : stride] += spread[:, :, :, kk]
-        gx = gxp[:, :, padding : padding + t] if padding else gxp
+        gkf = np.empty_like(kf)
+        per_sample = np.empty((n, c_out, cs))
+        for j in range(taps):
+            np.matmul(g, xf[:, :, j : j + t_out].swapaxes(1, 2), out=per_sample)
+            per_sample.sum(axis=0, out=gkf[j])
+        g_kernel = gkf.reshape(taps, c_out, c_in, stride).transpose(1, 2, 0, 3)
+        g_kernel = g_kernel.reshape(c_out, c_in, taps * stride)[:, :, :k]
+        if not x.requires_grad:
+            return None, g_kernel
+        gxf = np.zeros((n, cs, nb))
+        for j in range(taps):
+            gxf[:, :, j : j + t_out] += np.matmul(kf[j].T, g)
+        gxp = gxf.reshape(n, c_in, stride, nb).transpose(0, 1, 3, 2).reshape(n, c_in, width)
+        if padding == 0 and width == t:
+            return gxp, g_kernel
+        gx = np.zeros((n, c_in, t))
+        gx[:, :, :keep] = gxp[:, :, padding : padding + keep]
         return gx, g_kernel
 
     return _make(out, (x, kernel), bwd)

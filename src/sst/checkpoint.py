@@ -61,6 +61,15 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, what: str) -> tuple[str, int]:
+        """A u32-length-prefixed ASCII string and the offset of its first byte."""
+        n = self.u32()
+        at = self.pos
+        try:
+            return self.take(n).decode("ascii"), at
+        except UnicodeDecodeError:
+            raise ParseError(f"checkpoint {what} is not ASCII", offset=at) from None
+
 
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
@@ -70,9 +79,12 @@ def load_checkpoint(path: str) -> ModelParams:
 
     fields = {}
     for _ in range(cur.u32()):
-        line = cur.take(cur.u32()).decode("ascii")
+        line, at = cur.text("config line")
         key, _, value = line.partition("=")
-        fields[key] = int(value)
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise ParseError(f"checkpoint config line {line!r} has no integer value", offset=at) from None
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = sorted(set(fields) - known)
     if unknown:
@@ -86,7 +98,7 @@ def load_checkpoint(path: str) -> ModelParams:
     by_name = dict(params.named_params())
     seen = set()
     for _ in range(cur.u32()):
-        name = cur.take(cur.u32()).decode("ascii")
+        name, _ = cur.text("parameter name")
         rank = cur.u32()
         shape = struct.unpack(f"<{rank}I", cur.take(4 * rank))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
@@ -100,6 +112,8 @@ def load_checkpoint(path: str) -> ModelParams:
                 f"model expects {by_name[name].shape}",
                 offset=at,
             )
+        if not np.isfinite(data).all():
+            raise ParseError(f"checkpoint parameter {name!r} has non-finite values", offset=at)
         by_name[name].data = data.astype(np.float64)
         seen.add(name)
     missing = sorted(set(by_name) - seen)

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from sst import autodiff as ad
 from sst.autodiff import Tensor
@@ -12,6 +16,36 @@ from conftest import assert_grad_close, fd_grad
 
 def _param(data):
     return Tensor(data, requires_grad=True)
+
+
+def _conv1d_reference(x, kernel, stride, padding, g):
+    """Output, input gradient and kernel gradient of conv1d for upstream gradient g.
+
+    Windows of every tap are materialised and contracted with einsum; the
+    input gradient scatters each tap back with a strided add.
+    """
+    n, c_in, t = x.shape
+    k = kernel.shape[-1]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+    out = np.einsum("ncik,ock->noi", windows, kernel)
+    t_out = out.shape[-1]
+    g_kernel = np.einsum("noi,ncik->ock", g, windows)
+    spread = np.einsum("noi,ock->ncik", g, kernel)
+    gxp = np.zeros_like(xp)
+    for kk in range(k):
+        gxp[:, :, kk : kk + stride * (t_out - 1) + 1 : stride] += spread[:, :, :, kk]
+    return out, gxp[:, :, padding : padding + t], g_kernel
+
+
+@st.composite
+def _conv_shapes(draw):
+    """(n, c_in, c_out, t, padding, stride, k) with k anywhere in 1..t + 2*padding."""
+    t = draw(st.integers(1, 40))
+    padding = draw(st.integers(0, 3))
+    k = draw(st.integers(1, t + 2 * padding))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            t, padding, draw(st.integers(1, 9)), k)
 
 
 class TestMatmul:
@@ -100,6 +134,45 @@ class TestConv1d:
 
         assert_grad_close(x.grad, fd_grad(f_x, x_val), rtol=1e-6)
         assert_grad_close(k.grad, fd_grad(f_k, k_val), rtol=1e-6)
+
+    @pytest.mark.parametrize("stride,padding", [(-1, 0), (0, 0), (1, -1)])
+    def test_bad_stride_or_padding(self, stride, padding):
+        x = Tensor(np.arange(10.0).reshape(1, 1, 10))
+        with pytest.raises(DimensionError, match="stride >= 1 and padding >= 0"):
+            ad.conv1d(x, Tensor(np.ones((1, 1, 3))), stride=stride, padding=padding)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=_conv_shapes(), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(2, 3, 2, 10, 0, 5, 2), seed=0)   # k < stride
+    @example(shape=(2, 2, 3, 23, 1, 3, 7), seed=1)   # k not a multiple of stride
+    @example(shape=(1, 2, 2, 5, 2, 4, 9), seed=2)    # k = t + 2*padding, t_out = 1
+    @example(shape=(3, 1, 2, 9, 0, 9, 4), seed=3)    # t_out = 1, stride > t - k
+    @example(shape=(2, 2, 2, 30, 0, 12, 30), seed=4)  # t_out = 1, zero taps past the input
+    def test_matches_reference(self, shape, seed):
+        n, c_in, c_out, t, padding, stride, k = shape
+        r = np.random.default_rng(seed)
+        x_val = r.normal(size=(n, c_in, t))
+        k_val = r.normal(size=(c_out, c_in, k))
+        x, kern = _param(x_val), _param(k_val)
+        out = ad.conv1d(x, kern, stride=stride, padding=padding)
+        g = r.normal(size=out.shape)
+        gx, g_kernel = out.node.backward_rule(g)
+        for got, ref in zip((out.data, gx, g_kernel), _conv1d_reference(x_val, k_val, stride, padding, g)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+    def test_memory_peak_at_paper_scale(self, rng):
+        # The second conv of path b at the ModelConfig defaults, B=4.
+        x = _param(rng.normal(size=(80, 64, 246)))
+        kern = _param(rng.normal(size=(64, 64, 8)))
+        tracemalloc.start()
+        try:
+            out = ad.conv1d(x, kern)
+            ad.backward(out.sum())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (x.data.nbytes + out.data.nbytes)
 
 
 class TestSoftmax:
@@ -206,6 +279,16 @@ class TestGelu:
         ad.backward(ad.gelu(x).sum())
         fd = fd_grad(lambda v: float(ad.gelu(Tensor(v)).data.sum()), x_val)
         assert_grad_close(x.grad, fd, rtol=1e-6)
+
+    def test_backward_bitwise_equal_to_closed_form(self, rng):
+        special = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 1e-300, -1e-300, 8.5, -8.5]
+        x_val = np.concatenate([special, rng.normal(scale=4.0, size=4000)])
+        g = rng.normal(size=x_val.shape)
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) and inf * pdf(inf) are inf * 0
+            (got,) = ad.gelu(_param(x_val)).node.backward_rule(g)
+            pdf = np.exp(-0.5 * x_val * x_val) * (1.0 / math.sqrt(2.0 * math.pi))
+            expect = g * (ndtr(x_val) + x_val * pdf)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestRelu:

@@ -69,3 +69,41 @@ class TestCorruption:
         open(path, "wb").close()
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    def _patched(self, tmp_path, old: bytes, new: bytes):
+        """Save small_params, replace the first `old` with `new`; return (path, offset)."""
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, small_params())
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        at = blob.index(old)
+        with open(path, "wb") as fh:
+            fh.write(blob[:at] + new + blob[at + len(old):])
+        return path, at
+
+    def test_non_ascii_config_line(self, tmp_path):
+        path, at = self._patched(tmp_path, b"fs=10", b"fs=1\xff")
+        with pytest.raises(ParseError, match="config line is not ASCII") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at
+
+    def test_non_integer_config_value(self, tmp_path):
+        path, at = self._patched(tmp_path, b"fs=10", b"fs=1x")
+        with pytest.raises(ParseError, match="fs=1x") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at
+
+    def test_non_ascii_parameter_name(self, tmp_path):
+        path, at = self._patched(tmp_path, b"conv_a1", b"conv_\xff1")
+        with pytest.raises(ParseError, match="parameter name is not ASCII") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_names_parameter(self, tmp_path, bad):
+        params = small_params()
+        params.conv_b2.data[0, 0, 0] = bad
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, params)
+        with pytest.raises(ParseError, match="'conv_b2' has non-finite values"):
+            load_checkpoint(path)

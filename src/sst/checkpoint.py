@@ -14,18 +14,20 @@ import struct
 import numpy as np
 
 from .errors import ParseError
+from .metrics import N_CLASSES
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"SSTCKPT1"
 
 
-def _config_lines(config: ModelConfig) -> list[str]:
-    return [f"{f.name}={getattr(config, f.name)}" for f in dataclasses.fields(ModelConfig)]
+def _config_values(config: ModelConfig) -> dict[str, int]:
+    """The fields, then n_classes and T, which the task and fs fix."""
+    return {**dataclasses.asdict(config), "n_classes": N_CLASSES, "T": config.T}
 
 
 def save_checkpoint(path: str, params: ModelParams) -> None:
     chunks = [MAGIC]
-    lines = _config_lines(params.config)
+    lines = [f"{key}={value}" for key, value in _config_values(params.config).items()]
     chunks.append(struct.pack("<I", len(lines)))
     for line in lines:
         raw = line.encode("ascii")
@@ -77,7 +79,7 @@ def load_checkpoint(path: str) -> ModelParams:
     if cur.take(len(MAGIC)) != MAGIC:
         raise ParseError(f"{path}: bad checkpoint magic", offset=0)
 
-    fields = {}
+    fields, offsets = {}, {}
     for _ in range(cur.u32()):
         line, at = cur.text("config line")
         key, _, value = line.partition("=")
@@ -85,6 +87,8 @@ def load_checkpoint(path: str) -> ModelParams:
             fields[key] = int(value)
         except ValueError:
             raise ParseError(f"checkpoint config line {line!r} has no integer value", offset=at) from None
+        offsets[key] = at
+    stated = {key: fields.pop(key) for key in ("n_classes", "T") if key in fields}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = sorted(set(fields) - known)
     if unknown:
@@ -93,6 +97,11 @@ def load_checkpoint(path: str) -> ModelParams:
         config = ModelConfig(**fields)
     except TypeError as exc:
         raise ParseError(f"checkpoint config incomplete: {exc}") from None
+    expected = _config_values(config)
+    for key, value in stated.items():
+        if value != expected[key]:
+            raise ParseError(f"checkpoint config line '{key}={value}' must be "
+                             f"'{key}={expected[key]}'", offset=offsets[key])
 
     params = ModelParams(config)
     by_name = dict(params.named_params())

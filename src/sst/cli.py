@@ -14,7 +14,7 @@ import time
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config, resolve_seed
-from .edf import ANNOTATION_LABEL, parse_edf, parse_tal_annotations
+from .edf import annotation_hypnogram, parse_edf
 from .errors import (
     ConfigError,
     ContractError,
@@ -24,8 +24,7 @@ from .errors import (
     ParseError,
 )
 from .ingest import export_edf, load_store
-from .metrics import MetricsReport
-from .sampling import STAGE_NAMES
+from .metrics import STAGE_NAMES, MetricsReport
 from .training import train, transfer_evaluate, variance_experiment
 
 
@@ -65,6 +64,7 @@ def _metrics_payload(report: MetricsReport, history: list) -> dict:
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
+    run.check_sequence_length(run.model.S, "[model] S")
     run.train.seed = resolve_seed(run.train.seed, args.seed)
     store = load_store(run.data, run.model, role="train")
     params, summary = train(store, run.train, run.model)
@@ -90,6 +90,7 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     params = load_checkpoint(args.checkpoint)
     run = load_run_config(args.config)
+    run.check_sequence_length(params.config.S, "the checkpoint's S")
     store = load_store(run.data, params.config, role="test", resample_to=args.resample_to)
     report = transfer_evaluate(params, store, run.train, params.config)
 
@@ -114,14 +115,12 @@ def cmd_inspect_edf(args) -> int:
         print(f"signal {i}: {sig.label!r} fs={trace.fs:g} Hz spr={sig.samples_per_record} "
               f"phys=[{sig.phys_min:g}, {sig.phys_max:g}] {sig.phys_dim} "
               f"dig=[{sig.dig_min}, {sig.dig_max}]")
-    for trace in traces:
-        if ANNOTATION_LABEL.lower() in trace.label.lower():
-            hyp = parse_tal_annotations(trace.digital.astype("<i2").tobytes())
-            print(f"annotations: {len(hyp.entries)} entries")
-            for onset, duration, stage in hyp.entries[:5]:
-                name = STAGE_NAMES[stage] if stage is not None else "?"
-                print(f"  +{onset:g}s {duration:g}s {name}")
-            break
+    hyp = annotation_hypnogram(traces)
+    if hyp is not None:
+        print(f"annotations: {len(hyp.entries)} entries")
+        for onset, duration, stage in hyp.entries[:5]:
+            name = STAGE_NAMES[stage] if stage is not None else "?"
+            print(f"  +{onset:g}s {duration:g}s {name}")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -129,6 +128,7 @@ def cmd_inspect_edf(args) -> int:
 
 def cmd_variance(args) -> int:
     run = load_run_config(args.config)
+    run.check_sequence_length(run.model.S, "[model] S")
     run.train.seed = resolve_seed(run.train.seed, args.seed)
     seeds = None
     if args.seeds:

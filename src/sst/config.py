@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -48,22 +49,30 @@ class RunConfig:
     data: DataConfig
     model: ModelConfig
     train: TrainConfig
+    seq_len: int | None = None   # [train] seq_len, from configs written before [model] S set it
+
+    def check_sequence_length(self, S: int, source: str) -> None:
+        """A [train] seq_len that a config still sets must equal the S the command runs on."""
+        if self.seq_len is not None and self.seq_len != S:
+            raise ConfigError(f"[train] seq_len = {self.seq_len} must equal {source} = {S}")
 
 
-# [train] carries the flat TrainConfig keys; the loss fields live in [loss]
+# [train] carries the flat TrainConfig keys and RunConfig.seq_len; [loss] the loss fields
 _TRAIN_KEYS = [f for f in dataclasses.fields(TrainConfig) if f.name != "loss"]
+_TRAIN_KEYS += [f for f in dataclasses.fields(RunConfig) if f.name == "seq_len"]
 _LOSS_ALIASES = {"lambda": "lam"}
 
 
 def _typed(section: str, key: str, raw: str, pytype) -> object:
-    try:
-        if pytype is int:
-            return int(raw)
-        if pytype is float:
-            return float(raw)
+    if pytype is str:
         return raw
+    try:
+        value = pytype(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {pytype.__name__}") from None
+    if pytype is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _section_kwargs(parser, section: str, fields, aliases=None) -> dict:
@@ -109,11 +118,12 @@ def load_run_config(path: str) -> RunConfig:
     model_kwargs = _section_kwargs(parser, "model", dataclasses.fields(ModelConfig))
     loss_kwargs = _section_kwargs(parser, "loss", dataclasses.fields(LossConfig), _LOSS_ALIASES)
     train_kwargs = _section_kwargs(parser, "train", _TRAIN_KEYS)
+    seq_len = train_kwargs.pop("seq_len", None)
 
     data = DataConfig(**data_kwargs)
     model = ModelConfig(**model_kwargs)
     train = TrainConfig(loss=LossConfig(**loss_kwargs), **train_kwargs)
-    return RunConfig(data=data, model=model, train=train)
+    return RunConfig(data=data, model=model, train=train, seq_len=seq_len)
 
 
 def resolve_seed(config_seed: int, flag_seed: int | None) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParseError
+from .metrics import N_CLASSES
 
 HEADER_FIELDS = (  # (name, width)
     ("version", 8),
@@ -45,9 +46,9 @@ SIGNAL_FIELDS = (
 # EDF+ label of the signal that carries TAL annotations
 ANNOTATION_LABEL = "EDF Annotations"
 
-STAGE_W, STAGE_N1, STAGE_N2, STAGE_N3, STAGE_REM = range(5)
+STAGE_W, STAGE_N1, STAGE_N2, STAGE_N3, STAGE_REM = range(N_CLASSES)
 
-DEFAULT_STAGE_MAP = {
+STAGE_MAP = {
     "Sleep stage W": STAGE_W,
     "Sleep stage 1": STAGE_N1,
     "Sleep stage 2": STAGE_N2,
@@ -327,11 +328,11 @@ def digital_from_physical(samples: np.ndarray, sig: EdfSignalHeader) -> np.ndarr
 class Hypnogram:
     """Onset-sorted, non-overlapping stage annotations.
 
-    Stage None marks spans scored as something other than the 5 classes
-    (movement, unscored); epochs over them are dropped downstream.
+    Stage None marks spans scored as something other than the N_CLASSES
+    stages (movement, unscored); epochs over them are dropped downstream.
     """
 
-    entries: list  # (onset_s, duration_s, stage int 0..4 or None)
+    entries: list  # (onset_s, duration_s, stage in 0..N_CLASSES-1 or None)
 
     def __post_init__(self):
         self.entries = sorted(self.entries, key=lambda e: e[0])
@@ -372,9 +373,8 @@ class Hypnogram:
         ]
 
 
-def parse_tal_annotations(data: bytes, stage_map: dict | None = None) -> Hypnogram:
+def parse_tal_annotations(data: bytes) -> Hypnogram:
     """Decode a TAL byte stream: records of +onset[\\x15dur]\\x14text\\x14...\\x00."""
-    stage_map = DEFAULT_STAGE_MAP if stage_map is None else stage_map
     entries = []
     for index, record in enumerate(data.split(b"\x00")):
         if not record:
@@ -405,9 +405,17 @@ def parse_tal_annotations(data: bytes, stage_map: dict | None = None) -> Hypnogr
                 f"TAL record {index}: duration {duration_text!r} must be finite and non-negative"
             )
         for note in annotations:
-            if note not in stage_map:
+            if note not in STAGE_MAP:
                 continue
             if duration is None:
                 raise ParseError(f"TAL record {index}: stage annotation without a duration")
-            entries.append((onset, duration, stage_map[note]))
+            entries.append((onset, duration, STAGE_MAP[note]))
     return Hypnogram(entries)
+
+
+def annotation_hypnogram(traces: list[SignalTrace]) -> Hypnogram | None:
+    """The hypnogram in the first EDF+ annotation signal, or None without one."""
+    for trace in traces:
+        if ANNOTATION_LABEL.lower() in trace.label.lower():
+            return parse_tal_annotations(trace.digital.astype("<i2").tobytes())
+    return None

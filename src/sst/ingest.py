@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import glob
 import itertools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,12 +21,13 @@ from .edf import (
     EdfSignalHeader,
     Hypnogram,
     SignalTrace,
+    annotation_hypnogram,
     digital_from_physical,
     parse_edf,
-    parse_tal_annotations,
     write_edf,
 )
 from .errors import ConfigError, DataError, ParseError
+from .metrics import EPOCH_S, N_CLASSES
 from .sampling import EpochStore
 
 if TYPE_CHECKING:
@@ -41,8 +43,7 @@ DEFAULT_CLASS_FREQ_FRACTIONS = (0.02, 0.06, 0.11, 0.17, 0.23)
 MAX_RESAMPLE_FACTOR = 64
 
 
-def load_edf_store(path: str, channel: str, target_fs: float | None = None,
-                   strict: bool = True, epoch_s: float = 30.0) -> EpochStore:
+def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> EpochStore:
     """Build an EpochStore from one EDF file or a directory of them.
 
     Labels come from a '<stem>.labels' sidecar when present, otherwise from
@@ -63,7 +64,7 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None,
     total_dropped = 0
     for filename in files:
         with open(filename, "rb") as fh:
-            _, traces, _ = parse_edf(fh.read(), strict=strict)
+            _, traces, _ = parse_edf(fh.read())
         trace = select_trace(traces, channel)
         subject = os.path.splitext(os.path.basename(filename))[0]
 
@@ -71,20 +72,19 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None,
         if os.path.exists(sidecar):
             with open(sidecar, "r", encoding="ascii") as fh:
                 labels = labels_from_text(fh.read())
-            T, available = _epoch_grid(trace, epoch_s, target_fs)
+            T, available = _epoch_grid(trace, target_fs)
             if len(labels) > available:
                 raise DataError(
                     f"{sidecar}: {len(labels)} labels but only {available} epochs in the signal"
                 )
             records.extend(_epoch_records(trace, labels.tolist(), T, target_fs, subject))
         else:
-            tal = [t for t in traces if ANNOTATION_LABEL.lower() in t.label.lower()]
-            if not tal:
+            hyp = annotation_hypnogram(traces)
+            if hyp is None:
                 raise DataError(
                     f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}"
                 )
-            hyp = parse_tal_annotations(tal[0].digital.astype("<i2").tobytes())
-            subject_records, dropped = epoch_and_label(trace, hyp, epoch_s, subject=subject,
+            subject_records, dropped = epoch_and_label(trace, hyp, subject=subject,
                                                        target_fs=target_fs)
             total_dropped += dropped
             records.extend(subject_records)
@@ -109,8 +109,8 @@ def load_store(data: DataConfig, model: ModelConfig, role: str,
     return load_edf_store(path, data.channel, target_fs=resample_to)
 
 
-def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, epoch_s: float = 30.0,
-                    subject: str = "unknown", target_fs: float | None = None):
+def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, subject: str = "unknown",
+                    target_fs: float | None = None):
     """Slice a trace into epoch records labeled by the covering stage.
 
     With target_fs the epochs are those of resample(trace, target_fs), but
@@ -118,23 +118,23 @@ def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, epoch_s: float = 30.0,
     records are (subject, (1, T) signal, label); epochs whose span is not
     fully covered by a single known stage are dropped and counted.
     """
-    T, n_epochs = _epoch_grid(trace, epoch_s, target_fs)
-    stages = hyp.stages_for_epochs(n_epochs, epoch_s)
+    T, n_epochs = _epoch_grid(trace, target_fs)
+    stages = hyp.stages_for_epochs(n_epochs, EPOCH_S)
     return _epoch_records(trace, stages, T, target_fs, subject), stages.count(None)
 
 
-def _epoch_grid(trace: SignalTrace, epoch_s: float, target_fs: float | None):
+def _epoch_grid(trace: SignalTrace, target_fs: float | None):
     """(samples per epoch, whole epochs) of the trace at target_fs, or at its
     own rate when target_fs is None, without resampling it."""
     n, fs = len(trace.samples), trace.fs
     if target_fs is not None:
         L, M = _rate_ratio(trace.fs, target_fs)
         n, fs = -(-n * L // M), float(target_fs)
-    t_float = fs * epoch_s
+    t_float = fs * EPOCH_S
     T = int(round(t_float))
     if abs(t_float - T) > 1e-9 or T <= 0:
         raise ConfigError(
-            f"epoch length {epoch_s}s at {fs}Hz is {t_float} samples, not an integer"
+            f"epoch length {EPOCH_S}s at {fs}Hz is {t_float} samples, not an integer"
         )
     return T, n // T
 
@@ -179,8 +179,8 @@ def _resampled_span(trace: SignalTrace, start: int, stop: int,
 
 def _rate_ratio(fs: float, target_fs: float) -> tuple[int, int]:
     """(L, M) with target_fs / fs = L / M, both at most MAX_RESAMPLE_FACTOR."""
-    if fs <= 0 or target_fs <= 0:
-        raise ConfigError(f"rates must be positive: {fs} -> {target_fs}")
+    if not (0 < fs < math.inf and 0 < target_fs < math.inf):
+        raise ConfigError(f"rates must be positive and finite: {fs} -> {target_fs}")
     ratio = Fraction(target_fs / fs).limit_denominator(1000)
     L, M = ratio.numerator, ratio.denominator
     if abs(L / M - target_fs / fs) > 1e-9:
@@ -225,8 +225,8 @@ def select_trace(traces: list[SignalTrace], label_match: str) -> SignalTrace:
 def labels_to_text(labels) -> str:
     out = []
     for i, y in enumerate(np.asarray(labels, dtype=np.int64)):
-        if not 0 <= y <= 4:
-            raise DataError(f"label {y} at position {i} outside 0..4")
+        if not 0 <= y < N_CLASSES:
+            raise DataError(f"label {y} at position {i} outside 0..{N_CLASSES - 1}")
         out.append(LABEL_CHARS[y])
     return "\n".join(out) + "\n"
 
@@ -249,38 +249,36 @@ def synth_dataset(
     fs: int,
     class_freqs=None,
     noise_sd: float = 0.1,
-    amplitude: float = 1.0,
     self_transition: float = 0.7,
-    epoch_s: float = 30.0,
     rng: np.random.Generator | None = None,
 ) -> EpochStore:
-    """Five distinct oscillation classes plus white noise, with labels from a
+    """One distinct oscillation per stage plus white noise, with labels from a
     sticky stage-transition chain so sequences carry realistic runs."""
     rng = rng if rng is not None else np.random.default_rng(0)
     if n_subjects <= 0 or epochs_per_subject <= 0:
         raise ConfigError("synth_dataset needs positive subject and epoch counts")
     if class_freqs is None:
         class_freqs = [f * fs for f in DEFAULT_CLASS_FREQ_FRACTIONS]
-    if len(class_freqs) != 5 or len(set(class_freqs)) != 5:
-        raise ConfigError(f"need 5 distinct class frequencies, got {class_freqs}")
+    if len(class_freqs) != N_CLASSES or len(set(class_freqs)) != N_CLASSES:
+        raise ConfigError(f"need {N_CLASSES} distinct class frequencies, got {class_freqs}")
     if max(class_freqs) >= fs / 2:
         raise ConfigError(f"class frequency {max(class_freqs)} is at or above Nyquist ({fs / 2})")
     if not 0.0 <= self_transition < 1.0:
         raise ConfigError(f"self_transition must be in [0, 1), got {self_transition}")
 
-    T = int(round(fs * epoch_s))
+    T = EPOCH_S * fs
     t = np.arange(T) / fs
     records = []
     for subject in range(n_subjects):
-        label = int(rng.integers(0, 5))
+        label = int(rng.integers(0, N_CLASSES))
         for _ in range(epochs_per_subject):
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            x = amplitude * np.sin(2.0 * np.pi * class_freqs[label] * t + phase)
+            x = np.sin(2.0 * np.pi * class_freqs[label] * t + phase)
             if noise_sd > 0:
                 x = x + noise_sd * rng.standard_normal(T)
             records.append((f"synth{subject:03d}", x.reshape(1, T), label))
             if rng.random() >= self_transition:
-                label = (label + int(rng.integers(1, 5))) % 5
+                label = (label + int(rng.integers(1, N_CLASSES))) % N_CLASSES
     return EpochStore(records)
 
 

@@ -19,7 +19,6 @@ class LossConfig:
     tau: float = 5.0
     lam: float = 1.0
     alpha: float = 0.1
-    n_classes: int = 5
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -28,8 +27,6 @@ class LossConfig:
             raise ConfigError(f"loss config: alpha must be in [0, 1), got {self.alpha}")
         if self.lam < 0:
             raise ConfigError(f"loss config: lam must be nonnegative, got {self.lam}")
-        if self.n_classes != 5:
-            raise ConfigError(f"loss config: n_classes must be 5, got {self.n_classes}")
 
 
 @dataclass
@@ -50,7 +47,7 @@ def scaled_log_probs(z: Tensor, tau: float) -> Tensor:
 
 
 def label_smoothing_loss(z: Tensor, y: np.ndarray, alpha: float, tau: float) -> Tensor:
-    """Cross-entropy against (1-alpha)*onehot + alpha/5 targets on z/tau."""
+    """Cross-entropy against (1-alpha)*onehot + alpha/K targets on z/tau, K classes."""
     if z.ndim != 3:
         raise DimensionError(f"logits must be (B, S, n_classes), got {z.shape}")
     B, S, K = z.shape

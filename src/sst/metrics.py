@@ -1,5 +1,5 @@
-"""Scoring metrics: confusion matrix, per-class and macro F1, accuracy, and
-Cohen's kappa over the 5 sleep stages."""
+"""The scored task, one of five sleep stages per 30-second epoch, and its
+metrics: confusion matrix, per-class and macro F1, accuracy, Cohen's kappa."""
 
 from __future__ import annotations
 
@@ -9,12 +9,14 @@ import numpy as np
 
 from .errors import ContractError, DataError
 
-N_CLASSES = 5
+EPOCH_S = 30                                  # seconds per scored epoch
+STAGE_NAMES = ("W", "N1", "N2", "N3", "REM")  # label k is STAGE_NAMES[k]
+N_CLASSES = len(STAGE_NAMES)
 
 
 @dataclass
 class MetricsReport:
-    confusion: np.ndarray        # (5, 5) counts, rows = true, cols = predicted
+    confusion: np.ndarray        # (N_CLASSES, N_CLASSES) counts, rows = true, cols = predicted
     per_class_f1: list
     macro_f1: float
     accuracy: float

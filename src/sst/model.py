@@ -9,20 +9,21 @@ self-attention stack over the epoch sequence feeds the classification head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
+from .metrics import EPOCH_S, N_CLASSES
 
 LN_EPS = 1e-5
 
 
 @dataclass
 class ModelConfig:
-    """Architectural hyperparameters; T is derived as 30*fs when omitted."""
+    """Architectural hyperparameters."""
 
     fs: int = 100              # sampling rate, Hz
     S: int = 20                # epochs per sequence
@@ -33,18 +34,11 @@ class ModelConfig:
     head_dim: int = 8
     d: int = 3                 # encoder depth of both stacks
     ffn_dim: int = 128
-    n_classes: int = 5
-    T: int = field(default=0)  # samples per epoch
 
     def __post_init__(self):
-        if self.T == 0:
-            self.T = 30 * self.fs
-        self.validate()
-
-    def validate(self) -> None:
         positive = {
             "fs": self.fs, "S": self.S, "C": self.C, "D": self.D, "N": self.N,
-            "A": self.A, "head_dim": self.head_dim, "ffn_dim": self.ffn_dim, "T": self.T,
+            "A": self.A, "head_dim": self.head_dim, "ffn_dim": self.ffn_dim,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -55,14 +49,15 @@ class ModelConfig:
             raise ConfigError(
                 f"model config: A*head_dim must equal D ({self.A}*{self.head_dim} != {self.D})"
             )
-        if self.T != 30 * self.fs:
-            raise ConfigError(f"model config: T must be 30*fs, got T={self.T}, fs={self.fs}")
         if self.N % 2 != 0:
             raise ConfigError(f"model config: N must be even (split across two CNN paths), got {self.N}")
         if self.fs % 2 != 0:
             raise ConfigError(f"model config: fs must be even (one CNN kernel spans fs/2), got {self.fs}")
-        if self.n_classes != 5:
-            raise ConfigError(f"model config: n_classes must be 5, got {self.n_classes}")
+
+    @property
+    def T(self) -> int:
+        """Samples per epoch."""
+        return EPOCH_S * self.fs
 
     def kernel_sizes(self) -> tuple[int, int]:
         return 4 * self.fs, self.fs // 2
@@ -124,7 +119,7 @@ class ModelParams:
         self.cls_token = Tensor(rng.normal(0.0, 0.02, size=(1, 1, D)), requires_grad=True)
         self.ete = [_encoder_block(rng, config) for _ in range(config.d)]
         self.se = [_encoder_block(rng, config) for _ in range(config.d)]
-        self.w_mlp = _uniform(rng, (D, config.n_classes), D)
+        self.w_mlp = _uniform(rng, (D, N_CLASSES), D)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         out = [
@@ -144,9 +139,6 @@ class ModelParams:
 
     def params(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
-
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.params())
 
     def copy(self) -> "ModelParams":
         """Independent tensors holding the same values; the config is shared."""
@@ -170,9 +162,7 @@ class ForwardTrace:
 
     o_cnn_x: Tensor   # (B*S, N+1, D)
     o_cnn_xp: Tensor  # (B*S, N+1, D)
-    o_ete: Tensor     # (B*S, 1, D)
-    o_se: Tensor      # (B, S, D)
-    z: Tensor         # (B, S, n_classes)
+    z: Tensor         # (B, S, N_CLASSES)
 
 
 def positional_encoding(count: int, D: int) -> Tensor:
@@ -219,8 +209,7 @@ def multi_head_attention(
     c_in: Tensor,
     block: EncoderBlockParams,
     n_heads: int,
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Attend q_in (n, L_q, D) to context c_in (n, L_c, D).
 
     Heads are projected slices of single DxD maps; the score divisor is
@@ -245,10 +234,7 @@ def multi_head_attention(
     scores = (q @ k.permute(0, 1, 3, 2)) * (1.0 / np.sqrt(D))
     attn = ad.softmax(scores, axis=-1)                # (n, A, L_q, L_c)
     mixed = (attn @ v).permute(0, 2, 1, 3).reshape(n, L_q, D)
-    out = mixed @ block.wm
-    if return_weights:
-        return out, attn.data
-    return out
+    return mixed @ block.wm
 
 
 def encoder_block_forward(
@@ -284,7 +270,7 @@ def fuse(o_x: Tensor, o_xp: Tensor, params: ModelParams, config: ModelConfig) ->
         seq = encoder_block_forward(seq, seq, blk, config.A)
 
     z = ad.relu(seq) @ params.w_mlp
-    return ForwardTrace(o_cnn_x=o_x, o_cnn_xp=o_xp, o_ete=o_ete, o_se=seq, z=z)
+    return ForwardTrace(o_cnn_x=o_x, o_cnn_xp=o_xp, z=z)
 
 
 def sst_forward(x: Tensor, xp: Tensor, params: ModelParams, config: ModelConfig) -> ForwardTrace:

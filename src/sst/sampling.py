@@ -9,17 +9,17 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DataError
+from .metrics import N_CLASSES, STAGE_NAMES
 
-STAGE_NAMES = ("W", "N1", "N2", "N3", "REM")
 SAMPLING_MODES = ("none", "easy", "easy+difficult")
 
 
 class EpochStore:
     """Immutable pool of labeled 30-second epochs, grouped by subject.
 
-    records is a flat list of (subject, signal (C, T) float array, label in
-    0..4); temporal order within each subject is the order of appearance.
-    Window indexes are built lazily per requested sequence length.
+    records is a flat list of (subject, signal (C, T) finite float array,
+    label in 0..N_CLASSES-1); temporal order within each subject is the order
+    of appearance. Window indexes are built lazily per requested sequence length.
     """
 
     def __init__(self, records):
@@ -40,8 +40,10 @@ class EpochStore:
                 raise DataError(
                     f"record {i}: signal shape {signal.shape} differs from first record {shape}"
                 )
-            if not 0 <= int(label) <= 4:
-                raise DataError(f"record {i}: label {label} outside 0..4")
+            if not np.isfinite(signal).all():
+                raise DataError(f"record {i}: signal has non-finite values")
+            if not 0 <= int(label) < N_CLASSES:
+                raise DataError(f"record {i}: label {label} outside 0..{N_CLASSES - 1}")
             if subject not in self._by_subject:
                 self._by_subject[subject] = []
                 self.subjects.append(subject)
@@ -53,7 +55,7 @@ class EpochStore:
         self.signal_shape = shape
         self._window_cache: dict = {}
         self._sequence_cache: dict = {}
-        self._epochs_by_class = [np.flatnonzero(self.labels == c) for c in range(5)]
+        self._epochs_by_class = [np.flatnonzero(self.labels == c) for c in range(N_CLASSES)]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -68,7 +70,7 @@ class EpochStore:
         """Per-class lists of (subject, start) whose center epoch has that class."""
         if S not in self._window_cache:
             center = S // 2
-            per_class = [[] for _ in range(5)]
+            per_class = [[] for _ in range(N_CLASSES)]
             for subject in self.subjects:
                 ids = self._by_subject[subject]
                 for start in range(len(ids) - S + 1):
@@ -144,7 +146,7 @@ def balanced_anchor_indices(store: EpochStore, B: int, S: int, rng: np.random.Ge
                 f"no length-{S} window centered on class {STAGE_NAMES[c]}; cannot balance"
             )
     out = []
-    for c in rng.integers(0, 5, size=B):
+    for c in rng.integers(0, N_CLASSES, size=B):
         windows = per_class[c]
         out.append(windows[rng.integers(0, len(windows))])
     return out

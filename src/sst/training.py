@@ -31,7 +31,6 @@ class TrainConfig:
     validate_every: int = 100
     patience: int = 10
     batch_size: int = 64
-    seq_len: int = 20
     lr: float = 0.001
     weight_decay: float = 0.0001
     beta1: float = 0.9
@@ -47,7 +46,7 @@ class TrainConfig:
         positive = {
             "max_steps": self.max_steps, "validate_every": self.validate_every,
             "patience": self.patience, "batch_size": self.batch_size,
-            "seq_len": self.seq_len, "lr": self.lr, "clip_norm": self.clip_norm,
+            "lr": self.lr, "clip_norm": self.clip_norm,
         }
         for name, value in positive.items():
             if value <= 0:
@@ -140,17 +139,12 @@ def validate(params: ModelParams, store_val: EpochStore, cfg: TrainConfig,
              model_cfg: ModelConfig):
     """Deterministic scoring pass: sequential windows, companion equal to
     the input. Returns (mean total loss, MetricsReport)."""
-    windows = sequential_windows(store_val, cfg.seq_len)
+    windows = sequential_windows(store_val, model_cfg.S)
     if not windows:
         raise DataError(
-            f"validation store has no subject with {cfg.seq_len} consecutive epochs"
+            f"validation store has no subject with {model_cfg.S} consecutive epochs"
         )
     return _infer_batches(params, store_val, windows, model_cfg, cfg.batch_size, cfg.loss)
-
-
-def _check_seq_len(cfg: TrainConfig, S: int, source: str) -> None:
-    if cfg.seq_len != S:
-        raise ConfigError(f"[train] seq_len = {cfg.seq_len} must equal {source} = {S}")
 
 
 def train_step(params: ModelParams, adam: AdamState, batch: PairBatch, cfg: TrainConfig,
@@ -180,16 +174,11 @@ def train_step(params: ModelParams, adam: AdamState, batch: PairBatch, cfg: Trai
     return parts
 
 
-def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig,
-          validate_fn=None):
+def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
     """Train with paired batches; return (best params, RunSummary).
 
     The checkpoint returned is the one with the best validation macro-F1.
-    validate_fn replaces validate() for harness tests; it receives
-    (params, store_val, cfg, model_cfg) and returns (loss, MetricsReport).
     """
-    _check_seq_len(cfg, model_cfg.S, "[model] S")
-    validate_fn = validate_fn if validate_fn is not None else validate
     root = np.random.SeedSequence(cfg.seed)
     split_seq, init_seq, sampler_seq = root.spawn(3)
     store_train, store_val = split_subjects(store, cfg.val_fraction, np.random.default_rng(split_seq))
@@ -208,12 +197,13 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig,
     steps_trained = 0
 
     for step in range(1, cfg.max_steps + 1):
-        batch = draw_pair_batch(store_train, memory, cfg.batch_size, cfg.seq_len, sampler_rng)
+        batch = draw_pair_batch(store_train, memory, cfg.batch_size, model_cfg.S, sampler_rng)
         train_step(params, adam, batch, cfg, model_cfg, step)
         steps_trained = step
 
         if step % cfg.validate_every == 0:
-            val_loss, report = validate_fn(params, store_val, cfg, model_cfg)
+            # looked up per call, so a patched or traced sst.training.validate runs here
+            val_loss, report = validate(params, store_val, cfg, model_cfg)
             update_memory(memory, batch, val_loss)
             history.append({
                 "step": step,
@@ -256,10 +246,9 @@ def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainCon
             f"test epochs are ({C}, {T}) but the checkpoint expects "
             f"({model_cfg.C}, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
         )
-    _check_seq_len(cfg, model_cfg.S, "the checkpoint's S")
-    windows = sequential_windows(store_test, cfg.seq_len)
+    windows = sequential_windows(store_test, model_cfg.S)
     if not windows:
-        raise DataError(f"test store has no subject with {cfg.seq_len} consecutive epochs")
+        raise DataError(f"test store has no subject with {model_cfg.S} consecutive epochs")
     _, report = _infer_batches(params, store_test, windows, model_cfg, cfg.batch_size, cfg.loss)
     return report
 

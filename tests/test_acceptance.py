@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sst.autodiff as ad
+import sst.training
 from sst.autodiff import Tensor
 from sst.cli import main
 from sst.edf import (
@@ -92,13 +93,17 @@ class TestNormalizationInvariants:
         sums = ad.softmax(x, axis=-1).data.sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
-    def test_attention_rows_sum_to_one(self, rng):
+    def test_attention_rows_sum_to_one(self, rng, monkeypatch):
         cfg = ModelConfig(**TOY)
         params = ModelParams(cfg, rng=np.random.default_rng(3))
         q = Tensor(rng.normal(size=(125, 8, cfg.D)))
         c = Tensor(rng.normal(size=(125, 6, cfg.D)))
-        _, weights = multi_head_attention(q, c, params.ete[0], cfg.A,
-                                          return_weights=True)
+        captured = []
+        softmax = ad.softmax
+        monkeypatch.setattr(ad, "softmax",
+                            lambda x, axis: captured.append(softmax(x, axis=axis)) or captured[-1])
+        multi_head_attention(q, c, params.ete[0], cfg.A)
+        (weights,) = [t.data for t in captured]
         sums = weights.sum(axis=-1)
         assert sums.size >= 1000
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
@@ -151,7 +156,7 @@ class TestOverfitAndTransfer:
         fresh = synth_dataset(2, 40, fs=10, noise_sd=0.05,
                               rng=np.random.default_rng(200))
         cfg = TrainConfig(max_steps=500, validate_every=100, patience=10,
-                          batch_size=8, seq_len=4, lr=0.001,
+                          batch_size=8, lr=0.001,
                           val_fraction=0.1, seed=3)
         params, summary = train(store, cfg, model_cfg)
         assert summary.steps_trained <= 500
@@ -234,14 +239,15 @@ class ScriptedValidator:
 
 
 class TestEarlyStopping:
-    def test_halts_after_exactly_patience_validations(self):
+    def test_halts_after_exactly_patience_validations(self, monkeypatch):
         store = toy_store()
         model_cfg = ModelConfig(fs=10, S=2, C=1, D=8, N=2, A=2, head_dim=4,
                                 d=1, ffn_dim=16)
         cfg = TrainConfig(max_steps=10_000, validate_every=5, patience=10,
-                          batch_size=2, seq_len=2, val_fraction=0.25, seed=1)
+                          batch_size=2, val_fraction=0.25, seed=1)
         validator = ScriptedValidator([0.1, 0.2, 0.3, 0.25])
-        params, summary = train(store, cfg, model_cfg, validate_fn=validator)
+        monkeypatch.setattr(sst.training, "validate", validator)
+        params, summary = train(store, cfg, model_cfg)
 
         # 3 improvements, then exactly 10 non-improving validations
         assert validator.calls == 13
@@ -250,14 +256,15 @@ class TestEarlyStopping:
         assert summary.steps_trained == 13 * cfg.validate_every
         assert summary.best_step == 3 * cfg.validate_every
 
-    def test_returned_checkpoint_is_from_best_validation(self):
+    def test_returned_checkpoint_is_from_best_validation(self, monkeypatch):
         store = toy_store()
         model_cfg = ModelConfig(fs=10, S=2, C=1, D=8, N=2, A=2, head_dim=4,
                                 d=1, ffn_dim=16)
         cfg = TrainConfig(max_steps=10_000, validate_every=5, patience=10,
-                          batch_size=2, seq_len=2, val_fraction=0.25, seed=1)
+                          batch_size=2, val_fraction=0.25, seed=1)
         validator = ScriptedValidator([0.1, 0.2, 0.3, 0.25])
-        params, _ = train(store, cfg, model_cfg, validate_fn=validator)
+        monkeypatch.setattr(sst.training, "validate", validator)
+        params, _ = train(store, cfg, model_cfg)
         best = validator.snapshots[2]  # third validation was the best
         for name, tensor in params.named_params():
             assert tensor.data.tobytes() == best[name], name

@@ -1,5 +1,8 @@
 """Checkpoint round trips must be bit exact; corrupt files must fail loudly."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,21 @@ class TestRoundTrip:
         save_checkpoint(path, small_params())
         with open(path, "rb") as fh:
             assert fh.read(8) == MAGIC
+
+    def test_config_block_layout(self, tmp_path):
+        """The model fields, then n_classes and T, which the task and fs fix."""
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, small_params())
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        (count,) = struct.unpack_from("<I", blob, len(MAGIC))
+        at, lines = len(MAGIC) + 4, []
+        for _ in range(count):
+            (n,) = struct.unpack_from("<I", blob, at)
+            lines.append(blob[at + 4 : at + 4 + n].decode("ascii"))
+            at += 4 + n
+        assert lines == ["fs=10", "S=4", "C=1", "D=16", "N=4", "A=4", "head_dim=4", "d=1",
+                         "ffn_dim=32", "n_classes=5", "T=300"]
 
 
 class TestCorruption:
@@ -107,3 +125,10 @@ class TestCorruption:
         save_checkpoint(path, params)
         with pytest.raises(ParseError, match="'conv_b2' has non-finite values"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("old,new", [(b"n_classes=5", b"n_classes=4"), (b"T=300", b"T=200")])
+    def test_fixed_config_line_mismatch_names_line(self, tmp_path, old, new):
+        path, at = self._patched(tmp_path, old, new)
+        with pytest.raises(ParseError, match=re.escape(f"'{new.decode()}' must be '{old.decode()}'")) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at

@@ -2,13 +2,19 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from sst.checkpoint import save_checkpoint
 from sst.cli import main
+from sst.config import load_run_config
 from sst.edf import parse_edf
 from sst.ingest import labels_from_text
+from sst.model import ModelParams
+
+from conftest import tal_edf
 
 CONFIG = """\
 [data]
@@ -41,6 +47,31 @@ seed = 11
 """
 
 METRIC_KEYS = {"confusion", "per_class_f1", "macro_f1", "accuracy", "kappa", "history"}
+
+FLOAT_KEYS = [("data", "noise_sd"), ("loss", "tau"), ("loss", "lambda"), ("loss", "alpha"),
+              ("train", "lr"), ("train", "weight_decay"), ("train", "beta1"), ("train", "beta2"),
+              ("train", "clip_norm"), ("train", "val_fraction"), ("train", "p0")]
+
+
+def with_line(section, key, value):
+    """CONFIG with `key = value` in [section], replacing the key's own line
+    and creating the section when CONFIG has none."""
+    text = re.sub(rf"^{key} = .*\n", "", CONFIG, flags=re.M)
+    if f"[{section}]\n" not in text:
+        return text + f"\n[{section}]\n{key} = {value}\n"
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def write_config(tmp_path, text, name="run.ini"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def random_checkpoint(config_path, tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, ModelParams(load_run_config(config_path).model))
+    return path
 
 
 @pytest.fixture()
@@ -83,6 +114,32 @@ class TestTrain:
         path.write_text(CONFIG.replace("max_steps", "steps_max"))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "steps_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "variance"])
+    def test_seq_len_must_match_model_s(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, CONFIG.replace("seq_len = 2", "seq_len = 3"))
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert re.search(r"seq_len = 3.*\[model\] S = 2", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("section,key", [("model", "T"), ("model", "n_classes"),
+                                             ("loss", "n_classes")])
+    def test_fixed_quantities_are_unknown_keys(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, with_line(section, key, "300" if key == "T" else "5"))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_exits_one(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, with_line(section, key, value))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert f"[{section}] {key} = {value!r} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_synthetic_signal_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, with_line("data", "noise_sd", "1e308"))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert re.search(r"record \d+: signal has non-finite values", capsys.readouterr().err)
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini"),
@@ -179,6 +236,23 @@ class TestTransfer:
         assert main(["transfer", ckpt, "--config", str(eval_cfg), "--out", tr,
                      "--resample-to", "10"]) == 0
 
+    def test_seq_len_must_match_checkpoint_s(self, config_path, tmp_path, capsys):
+        ckpt = random_checkpoint(config_path, tmp_path)
+        eval_cfg = write_config(tmp_path, CONFIG.replace("S = 2", "S = 20")
+                                .replace("seq_len = 2", "seq_len = 20"), "eval.ini")
+        assert main(["transfer", ckpt, "--config", eval_cfg, "--out", str(tmp_path / "tr")]) == 1
+        assert re.search(r"seq_len = 20.*checkpoint's S = 2", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_resample_rate_exits_one(self, config_path, tmp_path, capsys, rate):
+        edf_dir = str(tmp_path / "edf")
+        assert main(["synth", "--config", config_path, "--out", edf_dir]) == 0
+        eval_cfg = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {edf_dir}"), "eval.ini")
+        assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
+                     "--out", str(tmp_path / "tr"), "--resample-to", rate]) == 1
+        assert "rates must be positive and finite" in capsys.readouterr().err
+
 
 class TestInspectEdf:
     @pytest.fixture()
@@ -192,6 +266,13 @@ class TestInspectEdf:
         text = capsys.readouterr().out
         assert "n_signals: 1" in text
         assert "fs=10" in text
+
+    def test_prints_annotations(self, tmp_path, capsys):
+        path = tmp_path / "night.edf"
+        path.write_bytes(tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"]))
+        assert main(["inspect-edf", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("annotations: 3 entries\n  +0s 30s W\n  +30s 30s ?\n  +60s 30s REM\n")
 
     def test_truncated_file_exits_two_with_offset(self, edf_file, tmp_path, capsys):
         with open(edf_file, "rb") as fh:

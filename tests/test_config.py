@@ -1,6 +1,8 @@
 """Run-config parsing: sections, keys, types, aliases, seed precedence."""
 
 import os
+import pathlib
+import re
 
 import pytest
 
@@ -147,6 +149,22 @@ def test_sampling_mode_string_key(tmp_path):
     text = GOOD + "sampling_mode = easy\n"
     run = load_run_config(write(tmp_path, text))
     assert run.train.sampling_mode == "easy"
+
+
+def test_seq_len_kept_on_run_config(tmp_path):
+    run = load_run_config(write(tmp_path, GOOD + "seq_len = 2\n"))
+    assert run.seq_len == 2
+    assert not hasattr(run.train, "seq_len")
+    assert load_run_config(write(tmp_path, GOOD)).seq_len is None
+
+
+def test_readme_example_loads(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    run = load_run_config(write(tmp_path, block))
+    assert run.data.source == "synth"
+    assert run.model.S == 2
+    assert run.seq_len is None
 
 
 class TestResolveSeed:

@@ -9,11 +9,14 @@ from sst.edf import (
     EdfHeader,
     EdfSignalHeader,
     Hypnogram,
+    annotation_hypnogram,
     parse_edf,
     parse_tal_annotations,
     write_edf,
 )
 from sst.errors import DataError, ParseError
+
+from conftest import tal_edf
 
 
 def one_signal_header(n_records=2, spr=3, duration=1.0):
@@ -227,6 +230,17 @@ class TestTal:
         blob = b"+0\x1530\x14Sleep stage W\x14\x00bad\x14\x00"
         with pytest.raises(ParseError, match="record 1"):
             parse_tal_annotations(blob)
+
+
+class TestAnnotationHypnogram:
+    def test_decodes_the_annotation_signal(self):
+        _, traces, _ = parse_edf(tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"]))
+        hyp = annotation_hypnogram(traces)
+        assert hyp.entries == [(0.0, 30.0, 0), (30.0, 30.0, None), (60.0, 30.0, 4)]
+
+    def test_none_without_annotation_signal(self):
+        _, traces, _ = parse_edf(write_edf(one_signal_header(), [np.zeros(6, dtype=np.int16)]))
+        assert annotation_hypnogram(traces) is None
 
 
 class TestHypnogram:

@@ -17,6 +17,8 @@ from sst.ingest import (
     synth_dataset,
 )
 
+from conftest import tal_edf
+
 
 def trace_of(samples, fs, label="EEG"):
     return SignalTrace(label=label, fs=float(fs), samples=np.asarray(samples, dtype=np.float64))
@@ -127,6 +129,23 @@ class TestScoredSpanResampling:
         write_sidecar_edf(tmp_path / "a", 200, np.zeros(60 * 200, dtype=np.int16), "W\nW\nW\n")
         with pytest.raises(DataError, match="3 labels but only 2 epochs"):
             load_edf_store(str(tmp_path), "EEG", target_fs=100)
+
+
+class TestTalLabels:
+    def test_epochs_labelled_from_annotation_signal(self, tmp_path, capsys):
+        blob = tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"])
+        (tmp_path / "night.edf").write_bytes(blob)
+        store = load_edf_store(str(tmp_path), "EEG")
+        np.testing.assert_array_equal(store.labels, [0, 4])
+        samples = parse_edf(blob)[1][0].samples
+        assert store.signals.tobytes() == np.stack([samples[:300], samples[600:]]).tobytes()
+        assert "dropped 1 epochs" in capsys.readouterr().err
+
+    def test_no_annotations_and_no_sidecar_rejected(self, tmp_path):
+        write_sidecar_edf(tmp_path / "a", 10, np.zeros(300, dtype=np.int16), "W\n")
+        (tmp_path / "a.labels").unlink()
+        with pytest.raises(DataError, match="no 'EDF Annotations' signal and no sidecar"):
+            load_edf_store(str(tmp_path), "EEG")
 
 
 def write_sidecar_edf(base, fs, digital, labels_text):

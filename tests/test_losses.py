@@ -27,8 +27,8 @@ def fake_traces(rng, B=2, S=3, tokens=4, D=6):
     mk = lambda *s: Tensor(rng.standard_normal(s), requires_grad=True)
     z_f, z_r = mk(B, S, 5), mk(B, S, 5)
     o_x, o_xp = mk(n, tokens, D), mk(n, tokens, D)
-    fwd = ForwardTrace(o_cnn_x=o_x, o_cnn_xp=o_xp, o_ete=None, o_se=None, z=z_f)
-    rev = ForwardTrace(o_cnn_x=o_xp, o_cnn_xp=o_x, o_ete=None, o_se=None, z=z_r)
+    fwd = ForwardTrace(o_cnn_x=o_x, o_cnn_xp=o_xp, z=z_f)
+    rev = ForwardTrace(o_cnn_x=o_xp, o_cnn_xp=o_x, z=z_r)
     return fwd, rev
 
 
@@ -222,8 +222,8 @@ class TestTotalLoss:
     def test_identical_pair_reduces_to_label_smoothing(self, rng):
         z = rng.standard_normal((2, 3, 5))
         o = rng.standard_normal((6, 4, 6))
-        fwd = ForwardTrace(o_cnn_x=Tensor(o), o_cnn_xp=Tensor(o.copy()), o_ete=None, o_se=None, z=Tensor(z))
-        rev = ForwardTrace(o_cnn_x=Tensor(o.copy()), o_cnn_xp=Tensor(o), o_ete=None, o_se=None, z=Tensor(z.copy()))
+        fwd = ForwardTrace(o_cnn_x=Tensor(o), o_cnn_xp=Tensor(o.copy()), z=Tensor(z))
+        rev = ForwardTrace(o_cnn_x=Tensor(o.copy()), o_cnn_xp=Tensor(o), z=Tensor(z.copy()))
         y = np.zeros((2, 3), dtype=int)
         breakdown = total_loss(fwd, rev, y, LossConfig())
         assert breakdown.cos.item() == 0.0
@@ -269,11 +269,11 @@ class TestTotalLoss:
         def f(values):
             fwd2 = ForwardTrace(
                 o_cnn_x=Tensor(fwd.o_cnn_x.data), o_cnn_xp=Tensor(fwd.o_cnn_xp.data),
-                o_ete=None, o_se=None, z=Tensor(values),
+                z=Tensor(values),
             )
             rev2 = ForwardTrace(
                 o_cnn_x=Tensor(rev.o_cnn_x.data), o_cnn_xp=Tensor(rev.o_cnn_xp.data),
-                o_ete=None, o_se=None, z=Tensor(rev.z.data),
+                z=Tensor(rev.z.data),
             )
             return total_loss(fwd2, rev2, y, cfg).total.item()
 

@@ -33,10 +33,6 @@ class TestModelConfig:
         assert toy_config().T == 300
         assert ModelConfig().T == 3000
 
-    def test_explicit_t_must_match(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(fs=10, T=100)
-
     def test_head_split_must_cover_d(self):
         with pytest.raises(ConfigError):
             toy_config(A=3)
@@ -52,10 +48,6 @@ class TestModelConfig:
     def test_negative_depth_rejected(self):
         with pytest.raises(ConfigError):
             toy_config(d=-1)
-
-    def test_class_count_fixed(self):
-        with pytest.raises(ConfigError):
-            toy_config(n_classes=4)
 
     def test_zero_depth_allowed(self):
         assert toy_config(d=0).d == 0
@@ -113,6 +105,19 @@ class TestCnnBlock:
             cnn_block_forward(Tensor(rng.standard_normal((2, 4, 1, 299))), params, cfg)
 
 
+def record_outputs(monkeypatch, module, name):
+    """The output of every call of module.name made while the test runs."""
+    outputs = []
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        outputs.append(real(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return outputs
+
+
 def tiny_block(rng, D=4, ffn=8):
     u = lambda *s: Tensor(rng.uniform(-0.5, 0.5, size=s), requires_grad=True)
     return EncoderBlockParams(
@@ -126,11 +131,13 @@ def tiny_block(rng, D=4, ffn=8):
 
 
 class TestAttention:
-    def test_rows_sum_to_one(self, rng):
+    def test_rows_sum_to_one(self, rng, monkeypatch):
         block = tiny_block(rng)
         q = Tensor(rng.standard_normal((2, 3, 4)))
         c = Tensor(rng.standard_normal((2, 5, 4)))
-        _, attn = multi_head_attention(q, c, block, 2, return_weights=True)
+        weights = record_outputs(monkeypatch, ad, "softmax")
+        multi_head_attention(q, c, block, 2)
+        (attn,) = [t.data for t in weights]
         assert attn.shape == (2, 2, 3, 5)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -201,16 +208,20 @@ class TestEncoderBlock:
 
 
 class TestFullForward:
-    def test_trace_shapes(self, rng):
+    def test_trace_shapes(self, rng, monkeypatch):
         cfg = toy_config()
         params = ModelParams(cfg, rng)
         x = Tensor(rng.standard_normal((2, 4, 1, 300)))
         xp = Tensor(rng.standard_normal((2, 4, 1, 300)))
+        pooled = record_outputs(monkeypatch, ad, "narrow")
+        encoded = record_outputs(monkeypatch, sst.model, "encoder_block_forward")
         trace = sst_forward(x, xp, params, cfg)
         assert trace.o_cnn_x.shape == (8, 5, 16)
         assert trace.o_cnn_xp.shape == (8, 5, 16)
-        assert trace.o_ete.shape == (8, 1, 16)
-        assert trace.o_se.shape == (2, 4, 16)
+        (o_ete,) = pooled                  # class-token slot of the cross-attention stack
+        assert o_ete.shape == (8, 1, 16)
+        o_se = encoded[-1]                 # output of the sequence stack
+        assert o_se.shape == (2, 4, 16)
         assert trace.z.shape == (2, 4, 5)
 
     def test_deterministic(self, rng):
@@ -280,7 +291,8 @@ class TestModelParams:
         cfg = toy_config()
         a = ModelParams(cfg, np.random.default_rng(1))
         b = ModelParams(cfg, np.random.default_rng(2))
-        assert a.param_count() == b.param_count()
+        count = lambda params: sum(t.data.size for t in params.params())
+        assert count(a) == count(b)
 
     def test_init_scale(self, rng):
         cfg = toy_config()

@@ -44,6 +44,13 @@ class TestEpochStore:
         with pytest.raises(DataError):
             EpochStore([("a", rng.standard_normal((1, 8)), 5)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_names_record(self, rng, bad):
+        records = [("a", rng.standard_normal((1, 8)), 0) for _ in range(4)]
+        records[2][1][0, 5] = bad
+        with pytest.raises(DataError, match="record 2: signal has non-finite values"):
+            EpochStore(records)
+
     def test_windows_by_class_centers(self, rng):
         store = EpochStore([("a", rng.standard_normal((1, 4)), c) for c in (0, 1, 2)])
         windows = store.windows_by_class(3)

@@ -36,7 +36,7 @@ def toy_model_config(**overrides):
 
 def toy_train_config(**overrides):
     base = dict(max_steps=4, validate_every=2, patience=2, batch_size=2,
-                seq_len=2, val_fraction=0.25, seed=0)
+                val_fraction=0.25, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -55,7 +55,6 @@ class TestTrainConfig:
         assert cfg.validate_every == 100
         assert cfg.patience == 10
         assert cfg.batch_size == 64
-        assert cfg.seq_len == 20
         assert cfg.clip_norm == 5.0
 
     def test_rejects_bad_values(self):
@@ -140,10 +139,10 @@ class TestValidate:
 
     def test_too_short_store_rejected(self):
         store = toy_store(subjects=2, epochs=6)
-        model_cfg = toy_model_config()
+        model_cfg = toy_model_config(S=7)
         params = ModelParams(model_cfg, np.random.default_rng(1))
         with pytest.raises(DataError):
-            validate(params, store, toy_train_config(seq_len=7), model_cfg)
+            validate(params, store, toy_train_config(), model_cfg)
 
 
 class TestTrain:
@@ -165,7 +164,7 @@ class TestTrain:
         assert summary.best_val_metric is None
         assert summary.steps_trained == 1
 
-    def test_early_stopping_after_exact_patience(self):
+    def test_early_stopping_after_exact_patience(self, monkeypatch):
         store = toy_store()
         scores = iter([0.1, 0.2, 0.3] + [0.3] * 50)
         seen_steps = []
@@ -178,7 +177,8 @@ class TestTrain:
             return 1.0, report
 
         cfg = toy_train_config(max_steps=1000, validate_every=2, patience=4)
-        params, summary = train(store, cfg, toy_model_config(), validate_fn=scripted)
+        monkeypatch.setattr(sst.training, "validate", scripted)
+        params, summary = train(store, cfg, toy_model_config())
         # 3 improving validations, then exactly 4 more
         assert len(summary.history) == 7
         assert summary.steps_trained == 14
@@ -186,7 +186,7 @@ class TestTrain:
         assert summary.best_step == 6
         assert summary.best_val_metric == pytest.approx(0.3)
 
-    def test_stopping_waits_while_improvement_continues(self):
+    def test_stopping_waits_while_improvement_continues(self, monkeypatch):
         store = toy_store()
         scores = iter([0.1, 0.05, 0.2, 0.05, 0.3, 0.05, 0.05])
 
@@ -196,12 +196,13 @@ class TestTrain:
             return 1.0, report
 
         cfg = toy_train_config(max_steps=14, validate_every=2, patience=2)
-        params, summary = train(store, cfg, toy_model_config(), validate_fn=scripted)
+        monkeypatch.setattr(sst.training, "validate", scripted)
+        params, summary = train(store, cfg, toy_model_config())
         assert summary.stopped_early is True
         assert len(summary.history) == 7
         assert summary.best_step == 10
 
-    def test_best_checkpoint_is_from_best_validation(self):
+    def test_best_checkpoint_is_from_best_validation(self, monkeypatch):
         store = toy_store()
         snapshots = []
         scores = iter([0.5, 0.9, 0.1, 0.1, 0.1])
@@ -213,7 +214,8 @@ class TestTrain:
             return 1.0, report
 
         cfg = toy_train_config(max_steps=1000, validate_every=2, patience=3)
-        params, summary = train(store, cfg, toy_model_config(), validate_fn=scripted)
+        monkeypatch.setattr(sst.training, "validate", scripted)
+        params, summary = train(store, cfg, toy_model_config())
         assert summary.best_step == 4
         np.testing.assert_array_equal(params.w_mlp.data, snapshots[1])
         assert not np.array_equal(snapshots[1], snapshots[2])
@@ -233,10 +235,6 @@ class TestTrain:
         _, summary1 = train(store, toy_train_config(seed=0), toy_model_config())
         _, summary2 = train(store, toy_train_config(seed=1), toy_model_config())
         assert summary1.history != summary2.history
-
-    def test_seq_len_must_match_model_s(self):
-        with pytest.raises(ConfigError, match=r"seq_len = 3.*\[model\] S = 2"):
-            train(toy_store(), toy_train_config(seq_len=3), toy_model_config())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_non_finite_loss(self, rng):
@@ -269,7 +267,7 @@ class TestTrainStep:
         model_cfg = toy_model_config(d=2)
         cfg = toy_train_config(batch_size=3, clip_norm=1e12)
         batch = draw_pair_batch(store, SamplingMemory(mode="none"), cfg.batch_size,
-                                cfg.seq_len, np.random.default_rng(5))
+                                model_cfg.S, np.random.default_rng(5))
         fused = ModelParams(model_cfg, np.random.default_rng(2))
         reference = fused.copy()
 
@@ -294,7 +292,7 @@ class TestTrainStep:
         assert calls == [3] * 6            # X and X' once per step
 
         del calls[:]
-        windows = sequential_windows(store, cfg.seq_len)
+        windows = sequential_windows(store, model_cfg.S)
         validate(params, store, cfg, model_cfg)
         n_batches = -(-len(windows) // cfg.batch_size)
         assert len(calls) == n_batches     # X' := X is embedded once per batch
@@ -330,13 +328,6 @@ class TestTransferEvaluate:
         store = synth_dataset(2, 6, fs=20, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError, match="[Rr]esample"):
             transfer_evaluate(params, store, toy_train_config(), model_cfg)
-
-    def test_seq_len_must_match_checkpoint_s(self):
-        model_cfg = toy_model_config()
-        params = ModelParams(model_cfg, np.random.default_rng(3))
-        store = toy_store(subjects=2, epochs=6)
-        with pytest.raises(ConfigError, match=r"seq_len = 20.*checkpoint's S = 2"):
-            transfer_evaluate(params, store, TrainConfig(), model_cfg)
 
 
 class TestVarianceExperiment:

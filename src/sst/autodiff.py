@@ -80,14 +80,10 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         return reshape(self, shape)
 
-    def permute(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
+    def permute(self, *axes: int) -> "Tensor":
         return permute(self, axes)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -388,40 +384,37 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     return _make(out, (x, gain, bias), bwd)
 
 
-def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     """1-D cross-correlation of [n, c_in, t] with [c_out, c_in, k].
 
-    Output length is floor((t + 2*padding - k) / stride) + 1. No kernel flip:
-    learned kernels make the correlation convention canonical.
+    Output length is floor((t - k) / stride) + 1. No kernel flip: learned
+    kernels make the correlation convention canonical.
 
-    The stride is folded into the channel axis: the padded input, cut to nb
-    blocks of `stride` samples, becomes (n, c_in*stride, nb), and the kernel,
-    padded with zero taps to J*stride where J = ceil(k/stride), becomes J
-    matrices (c_out, c_in*stride). Output i reads blocks i..i+J-1, so the
-    forward pass, the kernel gradient and the input gradient are J matrix
-    products each, one per tap, over shifted views of the folded input.
+    The stride is folded into the channel axis: the input, cut to nb blocks
+    of `stride` samples, becomes (n, c_in*stride, nb), and the kernel, padded
+    with zero taps to J*stride where J = ceil(k/stride), becomes J matrices
+    (c_out, c_in*stride). Output i reads blocks i..i+J-1, so the forward
+    pass, the kernel gradient and the input gradient are J matrix products
+    each, one per tap, over shifted views of the folded input.
     """
     n, c_in, t = x.shape
     c_out, c_in_k, k = kernel.shape
     if c_in_k != c_in:
         raise DimensionError(f"conv1d channel mismatch: input {x.shape}, kernel {kernel.shape}")
-    if stride < 1 or padding < 0:
-        raise DimensionError(f"conv1d needs stride >= 1 and padding >= 0, got {stride} and {padding}")
-    if k > t + 2 * padding:
-        raise DimensionError(
-            f"conv1d kernel ({k}) longer than padded input ({t + 2 * padding})"
-        )
-    t_out = (t + 2 * padding - k) // stride + 1
+    if stride < 1:
+        raise DimensionError(f"conv1d needs stride >= 1, got {stride}")
+    if k > t:
+        raise DimensionError(f"conv1d kernel ({k}) longer than input ({t})")
+    t_out = (t - k) // stride + 1
     taps = -(-k // stride)
     nb = t_out + taps - 1
-    width = nb * stride  # padded samples the output reads, zero taps included
-    keep = min(t, width - padding)  # input samples inside that window
+    width = nb * stride  # samples the output reads, zero taps included
     cs = c_in * stride
-    if padding == 0 and width <= t:
+    if width <= t:
         xp = x.data[:, :, :width]
     else:
         xp = np.zeros((n, c_in, width))
-        xp[:, :, padding : padding + keep] = x.data[:, :, :keep]
+        xp[:, :, :t] = x.data
     # (n, c, nb*s) -> (n, c*s, nb); a view when stride is 1
     xf = xp.reshape(n, c_in, nb, stride).transpose(0, 1, 3, 2).reshape(n, cs, nb)
     kp = np.zeros((c_out, c_in, taps * stride))
@@ -446,10 +439,11 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         for j in range(taps):
             gxf[:, :, j : j + t_out] += np.matmul(kf[j].T, g)
         gxp = gxf.reshape(n, c_in, stride, nb).transpose(0, 1, 3, 2).reshape(n, c_in, width)
-        if padding == 0 and width == t:
+        if width == t:
             return gxp, g_kernel
+        keep = min(t, width)
         gx = np.zeros((n, c_in, t))
-        gx[:, :, :keep] = gxp[:, :, padding : padding + keep]
+        gx[:, :, :keep] = gxp[:, :, :keep]
         return gx, g_kernel
 
     return _make(out, (x, kernel), bwd)

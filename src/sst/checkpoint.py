@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .metrics import N_CLASSES
 from .model import ModelConfig, ModelParams
 
@@ -21,8 +21,10 @@ MAGIC = b"SSTCKPT1"
 
 
 def _config_values(config: ModelConfig) -> dict[str, int]:
-    """The fields, then n_classes and T, which the task and fs fix."""
-    return {**dataclasses.asdict(config), "n_classes": N_CLASSES, "T": config.T}
+    """The fields with C=1 after S, then n_classes and T: the lines the
+    single channel, the task and fs fix."""
+    fs, S, *rest = dataclasses.asdict(config).items()
+    return {**dict([fs, S]), "C": 1, **dict(rest), "n_classes": N_CLASSES, "T": config.T}
 
 
 def save_checkpoint(path: str, params: ModelParams) -> None:
@@ -80,6 +82,7 @@ def load_checkpoint(path: str) -> ModelParams:
         raise ParseError(f"{path}: bad checkpoint magic", offset=0)
 
     fields, offsets = {}, {}
+    block_at = cur.pos
     for _ in range(cur.u32()):
         line, at = cur.text("config line")
         key, _, value = line.partition("=")
@@ -88,7 +91,7 @@ def load_checkpoint(path: str) -> ModelParams:
         except ValueError:
             raise ParseError(f"checkpoint config line {line!r} has no integer value", offset=at) from None
         offsets[key] = at
-    stated = {key: fields.pop(key) for key in ("n_classes", "T") if key in fields}
+    stated = {key: fields.pop(key) for key in ("C", "n_classes", "T") if key in fields}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = sorted(set(fields) - known)
     if unknown:
@@ -96,7 +99,9 @@ def load_checkpoint(path: str) -> ModelParams:
     try:
         config = ModelConfig(**fields)
     except TypeError as exc:
-        raise ParseError(f"checkpoint config incomplete: {exc}") from None
+        raise ParseError(f"checkpoint config incomplete: {exc}", offset=block_at) from None
+    except ConfigError as exc:
+        raise ParseError(f"checkpoint config rejected: {exc}", offset=block_at) from None
     expected = _config_values(config)
     for key, value in stated.items():
         if value != expected[key]:

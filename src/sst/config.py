@@ -42,6 +42,8 @@ class DataConfig:
         if self.source == "synth":
             if self.subjects < 2:
                 raise ConfigError("[data] synth source needs subjects >= 2 for a validation split")
+        if self.noise_sd < 0:
+            raise ConfigError(f"[data] noise_sd must be nonnegative, got {self.noise_sd}")
 
 
 @dataclass

@@ -224,10 +224,23 @@ def parse_edf(data: bytes, strict: bool = True):
                 f"signal {i}: physical min == max == {sig.phys_min}",
                 offset=offsets["phys_min"][i],
             )
+        # the map is monotone in d, so the two ends of int16 bound every sample
+        gain = (sig.phys_max - sig.phys_min) / (sig.dig_max - sig.dig_min)
+        if not all(math.isfinite((d - sig.dig_min) * gain + sig.phys_min) for d in (-32768, 32767)):
+            raise ParseError(
+                f"signal {i}: physical range [{sig.phys_min}, {sig.phys_max}] over digital "
+                f"[{sig.dig_min}, {sig.dig_max}] maps int16 samples outside float64",
+                offset=offsets["phys_max"][i],
+            )
         if sig.samples_per_record <= 0:
             raise ParseError(
                 f"signal {i}: samples_per_record must be positive, got {sig.samples_per_record}",
                 offset=offsets["samples_per_record"][i],
+            )
+        if not math.isfinite(sig.samples_per_record / record_duration_s):
+            raise ParseError(
+                f"signal {i}: {sig.samples_per_record} samples per {record_duration_s} s "
+                f"is not a finite rate", offset=rd_at,
             )
         signals.append(sig)
 

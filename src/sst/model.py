@@ -18,16 +18,13 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .metrics import EPOCH_S, N_CLASSES
 
-LN_EPS = 1e-5
-
 
 @dataclass
 class ModelConfig:
-    """Architectural hyperparameters."""
+    """Architectural hyperparameters of the single-channel model."""
 
     fs: int = 100              # sampling rate, Hz
     S: int = 20                # epochs per sequence
-    C: int = 1                 # input channels
     D: int = 64                # feature dimension
     N: int = 16                # feature tokens after pooling+concat (class token excluded)
     A: int = 8                 # attention heads
@@ -37,7 +34,7 @@ class ModelConfig:
 
     def __post_init__(self):
         positive = {
-            "fs": self.fs, "S": self.S, "C": self.C, "D": self.D, "N": self.N,
+            "fs": self.fs, "S": self.S, "D": self.D, "N": self.N,
             "A": self.A, "head_dim": self.head_dim, "ffn_dim": self.ffn_dim,
         }
         for name, value in positive.items():
@@ -111,10 +108,10 @@ class ModelParams:
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(0)
         k_a, k_b = config.kernel_sizes()
-        C, D = config.C, config.D
-        self.conv_a1 = _uniform(rng, (D, C, k_a), C * k_a)
+        D = config.D
+        self.conv_a1 = _uniform(rng, (D, 1, k_a), k_a)
         self.conv_a2 = _uniform(rng, (D, D, 8), D * 8)
-        self.conv_b1 = _uniform(rng, (D, C, k_b), C * k_b)
+        self.conv_b1 = _uniform(rng, (D, 1, k_b), k_b)
         self.conv_b2 = _uniform(rng, (D, D, 8), D * 8)
         self.cls_token = Tensor(rng.normal(0.0, 0.02, size=(1, 1, D)), requires_grad=True)
         self.ete = [_encoder_block(rng, config) for _ in range(config.d)]
@@ -175,19 +172,19 @@ def positional_encoding(count: int, D: int) -> Tensor:
 
 
 def cnn_block_forward(x: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Epoch batch (B, S, C, T) -> token sequence (B*S, N+1, D).
+    """Epoch batch (B, S, 1, T) -> token sequence (B*S, N+1, D).
 
     Two convolution paths with kernels 4*fs and fs/2 (each conv+GELU twice,
     stride kernel/4 then 1) are pooled to N/2 tokens apiece, concatenated,
     prefixed with the class token, and offset by the positional encoding.
     """
-    if x.ndim != 4 or x.shape[1:] != (config.S, config.C, config.T):
+    if x.ndim != 4 or x.shape[1:] != (config.S, 1, config.T):
         raise DimensionError(
-            f"cnn_block_forward expects (B, {config.S}, {config.C}, {config.T}), got {x.shape}"
+            f"cnn_block_forward expects (B, {config.S}, 1, {config.T}), got {x.shape}"
         )
     B = x.shape[0]
     n = B * config.S
-    flat = x.reshape(n, config.C, config.T)
+    flat = x.reshape(n, 1, config.T)
     k_a, k_b = config.kernel_sizes()
     half = config.N // 2
 
@@ -242,9 +239,9 @@ def encoder_block_forward(
 ) -> Tensor:
     """Post-norm encoder: attention, add&norm, GELU feed-forward, add&norm."""
     m = multi_head_attention(q_in, c_in, block, n_heads)
-    l = ad.layernorm(m + q_in, block.ln1_gain, block.ln1_bias, eps=LN_EPS)
+    l = ad.layernorm(m + q_in, block.ln1_gain, block.ln1_bias)
     dff = ad.gelu(l @ block.we1) @ block.we2
-    return ad.layernorm(dff + l, block.ln2_gain, block.ln2_bias, eps=LN_EPS)
+    return ad.layernorm(dff + l, block.ln2_gain, block.ln2_bias)
 
 
 def fuse(o_x: Tensor, o_xp: Tensor, params: ModelParams, config: ModelConfig) -> ForwardTrace:

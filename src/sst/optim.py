@@ -48,9 +48,9 @@ def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
 def adam_step(
     params: Sequence[Tensor],
     state: AdamState,
-    lr: float = 1e-3,
-    betas: tuple[float, float] = (0.9, 0.999),
-    weight_decay: float = 0.0,
+    lr: float,
+    betas: tuple[float, float],
+    weight_decay: float,
     eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update over `params`.

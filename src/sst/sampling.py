@@ -3,12 +3,12 @@ the two-slot easy/difficult companion memory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError
 from .metrics import N_CLASSES, STAGE_NAMES
 
 SAMPLING_MODES = ("none", "easy", "easy+difficult")
@@ -17,7 +17,7 @@ SAMPLING_MODES = ("none", "easy", "easy+difficult")
 class EpochStore:
     """Immutable pool of labeled 30-second epochs, grouped by subject.
 
-    records is a flat list of (subject, signal (C, T) finite float array,
+    records is a flat list of (subject, signal (1, T) finite float array,
     label in 0..N_CLASSES-1); temporal order within each subject is the order
     of appearance. Window indexes are built lazily per requested sequence length.
     """
@@ -32,8 +32,8 @@ class EpochStore:
         labels = []
         for i, (subject, signal, label) in enumerate(records):
             signal = np.asarray(signal, dtype=np.float64)
-            if signal.ndim != 2:
-                raise DataError(f"record {i}: signal must be (C, T), got shape {signal.shape}")
+            if signal.ndim != 2 or signal.shape[0] != 1:
+                raise DataError(f"record {i}: signal must be (1, T), got shape {signal.shape}")
             if shape is None:
                 shape = signal.shape
             elif signal.shape != shape:
@@ -50,7 +50,7 @@ class EpochStore:
             self._by_subject[subject].append(i)
             signals.append(signal)
             labels.append(int(label))
-        self.signals = np.stack(signals)           # (n, C, T)
+        self.signals = np.stack(signals)           # (n, 1, T)
         self.labels = np.array(labels, dtype=np.int64)
         self.signal_shape = shape
         self._window_cache: dict = {}
@@ -94,44 +94,23 @@ class EpochStore:
     def epochs_of_class(self, label: int) -> np.ndarray:
         return self._epochs_by_class[label]
 
-    def assemble(self, ids) -> np.ndarray:
-        return self.signals[np.asarray(ids, dtype=np.int64)]
-
-
-@dataclass
-class StoredCompanion:
-    indices: list          # B lists of S record ids
-    loss: float
-
 
 @dataclass
 class SamplingMemory:
-    """Companion reuse memory: one easy slot, one difficult slot.
+    """Companion reuse memory: the companion ids (B lists of S record ids) of
+    the batch behind the best (easy) and the worst (difficult) validation
+    loss so far, and those two losses."""
 
-    mode gates which slots participate in draws; p0 is the reuse probability
-    of each enabled slot.
-    """
-
-    p0: float = 0.25
-    mode: str = "easy+difficult"
-    easy: StoredCompanion | None = None
-    difficult: StoredCompanion | None = None
-    best: float = field(default=float("inf"))
-    worst: float = field(default=float("-inf"))
-
-    def __post_init__(self):
-        if not 0.0 <= self.p0 < 0.5:
-            raise ConfigError(f"sampling memory: p0 must be in [0, 0.5), got {self.p0}")
-        if self.mode not in SAMPLING_MODES:
-            raise ConfigError(
-                f"sampling memory: mode must be one of {SAMPLING_MODES}, got {self.mode!r}"
-            )
+    easy: list | None = None
+    difficult: list | None = None
+    best: float = float("inf")
+    worst: float = float("-inf")
 
 
 @dataclass
 class PairBatch:
-    X: Tensor               # (B, S, C, T)
-    Xp: Tensor              # (B, S, C, T)
+    X: Tensor               # (B, S, 1, T)
+    Xp: Tensor              # (B, S, 1, T)
     Y: np.ndarray           # (B, S) int labels
     provenance: str         # random | easy | difficult
     companion_ids: list     # B lists of S record ids backing Xp
@@ -175,63 +154,48 @@ def match_companion(store: EpochStore, Y: np.ndarray, rng: np.random.Generator) 
     return out
 
 
-def _assemble_batch(store: EpochStore, anchor_ids, companion_ids, provenance) -> PairBatch:
-    X = np.stack([store.assemble(ids) for ids in anchor_ids])
-    Xp = np.stack([store.assemble(ids) for ids in companion_ids])
-    Y = np.stack([store.labels[np.asarray(ids)] for ids in anchor_ids])
-    return PairBatch(X=Tensor(X), Xp=Tensor(Xp), Y=Y, provenance=provenance,
-                     companion_ids=[list(ids) for ids in companion_ids])
-
-
-def _slot_usable(slot: StoredCompanion | None, B: int, S: int) -> bool:
-    return (
-        slot is not None
-        and len(slot.indices) == B
-        and all(len(row) == S for row in slot.indices)
-    )
-
-
 def draw_pair_batch(
-    store: EpochStore, memory: SamplingMemory, B: int, S: int, rng: np.random.Generator
+    store: EpochStore, memory: SamplingMemory, B: int, S: int, rng: np.random.Generator,
+    *, p0: float, mode: str,
 ) -> PairBatch:
     """One training batch.
 
-    The provenance draw is (p0 easy, p0 difficult, 1-2*p0 random); a missing
-    or disabled slot falls through to random. On reuse the stored companion's
-    labels dictate Y and the anchors are redrawn to match them.
+    The provenance draw is (p0 easy, p0 difficult, 1-2*p0 random); an empty
+    slot, or one the sampling mode disables, falls through to random. On
+    reuse the stored companion's labels dictate Y and the anchors are
+    redrawn to match them.
     """
     r = rng.random()
-    slot = None
+    companion_ids = None
     provenance = "random"
-    if r < memory.p0:
-        if memory.mode in ("easy", "easy+difficult") and _slot_usable(memory.easy, B, S):
-            slot, provenance = memory.easy, "easy"
-    elif r < 2.0 * memory.p0:
-        if memory.mode == "easy+difficult" and _slot_usable(memory.difficult, B, S):
-            slot, provenance = memory.difficult, "difficult"
+    if r < p0:
+        if mode in ("easy", "easy+difficult") and memory.easy is not None:
+            companion_ids, provenance = memory.easy, "easy"
+    elif r < 2.0 * p0:
+        if mode == "easy+difficult" and memory.difficult is not None:
+            companion_ids, provenance = memory.difficult, "difficult"
 
-    if slot is None:
+    if companion_ids is None:
         anchors = balanced_anchor_indices(store, B, S, rng)
         anchor_ids = [store.window_ids(subject, start, S) for subject, start in anchors]
-        Y = np.stack([store.labels[np.asarray(ids)] for ids in anchor_ids])
+        Y = store.labels[np.asarray(anchor_ids)]
         companion_ids = match_companion(store, Y, rng)
-        return _assemble_batch(store, anchor_ids, companion_ids, "random")
-
-    companion_ids = slot.indices
-    Y = np.stack([store.labels[np.asarray(ids)] for ids in companion_ids])
-    anchor_ids = match_companion(store, Y, rng)
-    return _assemble_batch(store, anchor_ids, companion_ids, provenance)
+    else:
+        Y = store.labels[np.asarray(companion_ids)]
+        anchor_ids = match_companion(store, Y, rng)
+    return PairBatch(X=Tensor(store.signals[np.asarray(anchor_ids)]),
+                     Xp=Tensor(store.signals[np.asarray(companion_ids)]), Y=Y,
+                     provenance=provenance, companion_ids=companion_ids)
 
 
 def update_memory(memory: SamplingMemory, batch: PairBatch, val_loss: float) -> None:
-    """Store the batch's companion on a new best (easy) or worst (difficult)
-    validation loss. Strict inequality: ties keep the incumbent."""
+    """Store the batch's companion ids on a new best (easy) or worst
+    (difficult) validation loss. Strict inequality: ties keep the incumbent."""
     if np.isnan(val_loss):
         raise ContractError("validation loss is NaN")
-    stored = StoredCompanion(indices=[list(ids) for ids in batch.companion_ids], loss=float(val_loss))
     if val_loss < memory.best:
         memory.best = float(val_loss)
-        memory.easy = stored
+        memory.easy = batch.companion_ids
     if val_loss > memory.worst:
         memory.worst = float(val_loss)
-        memory.difficult = stored
+        memory.difficult = batch.companion_ids

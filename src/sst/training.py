@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError(
                 f"train config: sampling_mode must be one of {SAMPLING_MODES}, got {self.sampling_mode!r}"
             )
+        if not 0.0 <= self.p0 < 0.5:
+            raise ConfigError(f"train config: p0 must be in [0, 0.5), got {self.p0}")
 
 
 @dataclass
@@ -123,8 +125,9 @@ def _infer_batches(params, store, windows, model_cfg, batch_size, loss_cfg):
     with ad.no_grad():
         for at in range(0, len(windows), batch_size):
             chunk = windows[at : at + batch_size]
-            X = ad.Tensor(np.stack([store.assemble(ids) for ids in chunk]))
-            Y = np.stack([store.labels[np.asarray(ids)] for ids in chunk])
+            ids = np.asarray(chunk)
+            X = ad.Tensor(store.signals[ids])
+            Y = store.labels[ids]
             trace = sst_forward(X, X, params, model_cfg)
             breakdown = total_loss(trace, trace, Y, loss_cfg)
             loss_sum += breakdown.total.item() * len(chunk)
@@ -186,7 +189,7 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
     sampler_rng = np.random.default_rng(sampler_seq)
 
     adam = AdamState(params.params())
-    memory = SamplingMemory(p0=cfg.p0, mode=cfg.sampling_mode)
+    memory = SamplingMemory()
     history: list[dict] = []
     best_metric = -math.inf
     best_step = 0
@@ -197,7 +200,8 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
     steps_trained = 0
 
     for step in range(1, cfg.max_steps + 1):
-        batch = draw_pair_batch(store_train, memory, cfg.batch_size, model_cfg.S, sampler_rng)
+        batch = draw_pair_batch(store_train, memory, cfg.batch_size, model_cfg.S, sampler_rng,
+                                p0=cfg.p0, mode=cfg.sampling_mode)
         train_step(params, adam, batch, cfg, model_cfg, step)
         steps_trained = step
 
@@ -240,11 +244,10 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
 def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainConfig,
                       model_cfg: ModelConfig) -> MetricsReport:
     """Pure inference over a test store; no fine-tuning, no updates."""
-    C, T = store_test.signal_shape
-    if (C, T) != (model_cfg.C, model_cfg.T):
+    if store_test.signal_shape != (1, model_cfg.T):
         raise ConfigError(
-            f"test epochs are ({C}, {T}) but the checkpoint expects "
-            f"({model_cfg.C}, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
+            f"test epochs are {store_test.signal_shape} but the checkpoint expects "
+            f"(1, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
         )
     windows = sequential_windows(store_test, model_cfg.S)
     if not windows:

@@ -31,7 +31,11 @@ from sst.model import ModelConfig, ModelParams, multi_head_attention, sst_forwar
 from sst.sampling import EpochStore, SamplingMemory, draw_pair_batch, update_memory
 from sst.training import TrainConfig, train, transfer_evaluate
 
-TOY = dict(fs=10, S=4, C=1, D=16, N=4, A=4, head_dim=4, d=1, ffn_dim=32)
+TOY = dict(fs=10, S=4, D=16, N=4, A=4, head_dim=4, d=1, ffn_dim=32)
+
+
+# the TrainConfig defaults of the reuse probability and the sampling mode
+DRAW = {"p0": 0.25, "mode": "easy+difficult"}
 
 
 def toy_store(subjects=4, epochs=25, seed=77):
@@ -53,8 +57,8 @@ class TestEndToEndGradients:
         params = ModelParams(cfg, rng=np.random.default_rng(7))
         rng = np.random.default_rng(42)
         B = 2
-        X = rng.normal(size=(B, cfg.S, cfg.C, cfg.T))
-        Xp = rng.normal(size=(B, cfg.S, cfg.C, cfg.T))
+        X = rng.normal(size=(B, cfg.S, 1, cfg.T))
+        Xp = rng.normal(size=(B, cfg.S, 1, cfg.T))
         Y = rng.integers(0, 5, size=(B, cfg.S))
         loss_cfg = LossConfig()
 
@@ -119,7 +123,7 @@ class TestLossDegeneracies:
     def test_identical_inputs_zero_alignment_and_distillation(self, rng):
         cfg = ModelConfig(**TOY)
         params = ModelParams(cfg, rng=np.random.default_rng(5))
-        X = rng.normal(size=(2, cfg.S, cfg.C, cfg.T))
+        X = rng.normal(size=(2, cfg.S, 1, cfg.T))
         Y = rng.integers(0, 5, size=(2, cfg.S))
         trace = sst_forward(Tensor(X), Tensor(X), params, cfg)
         trace_rev = sst_forward(Tensor(X), Tensor(X), params, cfg)
@@ -131,8 +135,8 @@ class TestLossDegeneracies:
     def test_recomposition_identity(self, rng):
         cfg = ModelConfig(**TOY)
         params = ModelParams(cfg, rng=np.random.default_rng(6))
-        X = rng.normal(size=(2, cfg.S, cfg.C, cfg.T))
-        Xp = rng.normal(size=(2, cfg.S, cfg.C, cfg.T))
+        X = rng.normal(size=(2, cfg.S, 1, cfg.T))
+        Xp = rng.normal(size=(2, cfg.S, 1, cfg.T))
         Y = rng.integers(0, 5, size=(2, cfg.S))
         loss_cfg = LossConfig(tau=5.0, lam=0.7, alpha=0.1)
         trace = sst_forward(Tensor(X), Tensor(Xp), params, cfg)
@@ -181,14 +185,14 @@ class TestSamplingProtocol:
     def test_provenance_frequencies(self):
         store = self.flat_store()
         rng = np.random.default_rng(9)
-        memory = SamplingMemory(p0=0.25, mode="easy+difficult")
-        update_memory(memory, draw_pair_batch(store, memory, 2, 1, rng), 1.0)
+        memory = SamplingMemory()
+        update_memory(memory, draw_pair_batch(store, memory, 2, 1, rng, **DRAW), 1.0)
         assert memory.easy is not None and memory.difficult is not None
 
         counts = {"easy": 0, "difficult": 0, "random": 0}
         n = 100_000
         for _ in range(n):
-            counts[draw_pair_batch(store, memory, 2, 1, rng).provenance] += 1
+            counts[draw_pair_batch(store, memory, 2, 1, rng, **DRAW).provenance] += 1
         assert abs(counts["easy"] / n - 0.25) <= 0.01
         assert abs(counts["difficult"] / n - 0.25) <= 0.01
         assert abs(counts["random"] / n - 0.50) <= 0.01
@@ -196,11 +200,11 @@ class TestSamplingProtocol:
     def test_balanced_anchor_class_frequencies(self):
         store = self.flat_store()
         rng = np.random.default_rng(10)
-        memory = SamplingMemory(mode="none")
+        memory = SamplingMemory()
         center = np.zeros(5, dtype=np.int64)
         n = 100_000
         for _ in range(n):
-            for row in draw_pair_batch(store, memory, 2, 1, rng).Y:
+            for row in draw_pair_batch(store, memory, 2, 1, rng, p0=0.25, mode="none").Y:
                 center[row[0]] += 1
         freqs = center / center.sum()
         assert np.all(np.abs(freqs - 0.2) <= 0.01)
@@ -208,11 +212,11 @@ class TestSamplingProtocol:
     def test_watermarks_monotone_under_scripted_losses(self):
         store = self.flat_store()
         rng = np.random.default_rng(11)
-        memory = SamplingMemory(mode="easy+difficult")
+        memory = SamplingMemory()
         losses = [0.5, 0.8, 0.3, 0.9, 0.1, 0.1, 0.7]
         best_trace, worst_trace = [], []
         for loss in losses:
-            update_memory(memory, draw_pair_batch(store, memory, 2, 1, rng), loss)
+            update_memory(memory, draw_pair_batch(store, memory, 2, 1, rng, **DRAW), loss)
             best_trace.append(memory.best)
             worst_trace.append(memory.worst)
         assert best_trace == [0.5, 0.5, 0.3, 0.3, 0.1, 0.1, 0.1]
@@ -241,7 +245,7 @@ class ScriptedValidator:
 class TestEarlyStopping:
     def test_halts_after_exactly_patience_validations(self, monkeypatch):
         store = toy_store()
-        model_cfg = ModelConfig(fs=10, S=2, C=1, D=8, N=2, A=2, head_dim=4,
+        model_cfg = ModelConfig(fs=10, S=2, D=8, N=2, A=2, head_dim=4,
                                 d=1, ffn_dim=16)
         cfg = TrainConfig(max_steps=10_000, validate_every=5, patience=10,
                           batch_size=2, val_fraction=0.25, seed=1)
@@ -258,7 +262,7 @@ class TestEarlyStopping:
 
     def test_returned_checkpoint_is_from_best_validation(self, monkeypatch):
         store = toy_store()
-        model_cfg = ModelConfig(fs=10, S=2, C=1, D=8, N=2, A=2, head_dim=4,
+        model_cfg = ModelConfig(fs=10, S=2, D=8, N=2, A=2, head_dim=4,
                                 d=1, ffn_dim=16)
         cfg = TrainConfig(max_steps=10_000, validate_every=5, patience=10,
                           batch_size=2, val_fraction=0.25, seed=1)

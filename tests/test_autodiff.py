@@ -18,7 +18,7 @@ def _param(data):
     return Tensor(data, requires_grad=True)
 
 
-def _conv1d_reference(x, kernel, stride, padding, g):
+def _conv1d_reference(x, kernel, stride, g):
     """Output, input gradient and kernel gradient of conv1d for upstream gradient g.
 
     Windows of every tap are materialised and contracted with einsum; the
@@ -26,26 +26,24 @@ def _conv1d_reference(x, kernel, stride, padding, g):
     """
     n, c_in, t = x.shape
     k = kernel.shape[-1]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)[:, :, ::stride, :]
     out = np.einsum("ncik,ock->noi", windows, kernel)
     t_out = out.shape[-1]
     g_kernel = np.einsum("noi,ncik->ock", g, windows)
     spread = np.einsum("noi,ock->ncik", g, kernel)
-    gxp = np.zeros_like(xp)
+    gx = np.zeros_like(x)
     for kk in range(k):
-        gxp[:, :, kk : kk + stride * (t_out - 1) + 1 : stride] += spread[:, :, :, kk]
-    return out, gxp[:, :, padding : padding + t], g_kernel
+        gx[:, :, kk : kk + stride * (t_out - 1) + 1 : stride] += spread[:, :, :, kk]
+    return out, gx, g_kernel
 
 
 @st.composite
 def _conv_shapes(draw):
-    """(n, c_in, c_out, t, padding, stride, k) with k anywhere in 1..t + 2*padding."""
+    """(n, c_in, c_out, t, stride, k) with k anywhere in 1..t."""
     t = draw(st.integers(1, 40))
-    padding = draw(st.integers(0, 3))
-    k = draw(st.integers(1, t + 2 * padding))
+    k = draw(st.integers(1, t))
     return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
-            t, padding, draw(st.integers(1, 9)), k)
+            t, draw(st.integers(1, 9)), k)
 
 
 class TestMatmul:
@@ -106,58 +104,57 @@ class TestConv1d:
     def test_hand_convolution(self):
         x = Tensor([[[1.0, 2.0, 3.0, 4.0]]])
         k = Tensor([[[1.0, 1.0]]])
-        np.testing.assert_array_equal(ad.conv1d(x, k, stride=1, padding=0).data, [[[3.0, 5.0, 7.0]]])
+        np.testing.assert_array_equal(ad.conv1d(x, k, stride=1).data, [[[3.0, 5.0, 7.0]]])
 
     def test_output_length_formula(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 17)))
         k = Tensor(rng.normal(size=(3, 2, 4)))
         for stride in (1, 2, 3):
-            for padding in (0, 1, 2):
-                out = ad.conv1d(x, k, stride=stride, padding=padding)
-                assert out.shape == (1, 3, (17 + 2 * padding - 4) // stride + 1)
+            out = ad.conv1d(x, k, stride=stride)
+            assert out.shape == (1, 3, (17 - 4) // stride + 1)
 
     def test_kernel_longer_than_padded_input(self):
         with pytest.raises(DimensionError):
-            ad.conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))), padding=0)
+            ad.conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))))
 
     def test_grad_matches_finite_differences(self, rng):
         x_val = rng.normal(size=(1, 1, 16))
         k_val = rng.normal(size=(2, 1, 3))
         x, k = _param(x_val), _param(k_val)
-        ad.backward(ad.conv1d(x, k, stride=2, padding=1).sum())
+        ad.backward(ad.conv1d(x, k, stride=2).sum())
 
         def f_x(v):
-            return float(ad.conv1d(Tensor(v), Tensor(k_val), stride=2, padding=1).data.sum())
+            return float(ad.conv1d(Tensor(v), Tensor(k_val), stride=2).data.sum())
 
         def f_k(v):
-            return float(ad.conv1d(Tensor(x_val), Tensor(v), stride=2, padding=1).data.sum())
+            return float(ad.conv1d(Tensor(x_val), Tensor(v), stride=2).data.sum())
 
         assert_grad_close(x.grad, fd_grad(f_x, x_val), rtol=1e-6)
         assert_grad_close(k.grad, fd_grad(f_k, k_val), rtol=1e-6)
 
-    @pytest.mark.parametrize("stride,padding", [(-1, 0), (0, 0), (1, -1)])
-    def test_bad_stride_or_padding(self, stride, padding):
+    @pytest.mark.parametrize("stride", [-1, 0])
+    def test_bad_stride(self, stride):
         x = Tensor(np.arange(10.0).reshape(1, 1, 10))
-        with pytest.raises(DimensionError, match="stride >= 1 and padding >= 0"):
-            ad.conv1d(x, Tensor(np.ones((1, 1, 3))), stride=stride, padding=padding)
+        with pytest.raises(DimensionError, match="stride >= 1"):
+            ad.conv1d(x, Tensor(np.ones((1, 1, 3))), stride=stride)
 
     @settings(max_examples=300, deadline=None)
     @given(shape=_conv_shapes(), seed=st.integers(0, 2**32 - 1))
-    @example(shape=(2, 3, 2, 10, 0, 5, 2), seed=0)   # k < stride
-    @example(shape=(2, 2, 3, 23, 1, 3, 7), seed=1)   # k not a multiple of stride
-    @example(shape=(1, 2, 2, 5, 2, 4, 9), seed=2)    # k = t + 2*padding, t_out = 1
-    @example(shape=(3, 1, 2, 9, 0, 9, 4), seed=3)    # t_out = 1, stride > t - k
-    @example(shape=(2, 2, 2, 30, 0, 12, 30), seed=4)  # t_out = 1, zero taps past the input
+    @example(shape=(2, 3, 2, 10, 5, 2), seed=0)   # k < stride
+    @example(shape=(2, 2, 3, 23, 3, 7), seed=1)   # k not a multiple of stride
+    @example(shape=(1, 2, 2, 9, 4, 9), seed=2)    # k = t, t_out = 1
+    @example(shape=(3, 1, 2, 9, 9, 4), seed=3)    # t_out = 1, stride > t - k
+    @example(shape=(2, 2, 2, 30, 12, 30), seed=4)  # t_out = 1, zero taps past the input
     def test_matches_reference(self, shape, seed):
-        n, c_in, c_out, t, padding, stride, k = shape
+        n, c_in, c_out, t, stride, k = shape
         r = np.random.default_rng(seed)
         x_val = r.normal(size=(n, c_in, t))
         k_val = r.normal(size=(c_out, c_in, k))
         x, kern = _param(x_val), _param(k_val)
-        out = ad.conv1d(x, kern, stride=stride, padding=padding)
+        out = ad.conv1d(x, kern, stride=stride)
         g = r.normal(size=out.shape)
         gx, g_kernel = out.node.backward_rule(g)
-        for got, ref in zip((out.data, gx, g_kernel), _conv1d_reference(x_val, k_val, stride, padding, g)):
+        for got, ref in zip((out.data, gx, g_kernel), _conv1d_reference(x_val, k_val, stride, g)):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 

@@ -12,7 +12,7 @@ from sst.model import ModelConfig, ModelParams
 
 
 def small_params(seed=0):
-    cfg = ModelConfig(fs=10, S=4, C=1, D=16, N=4, A=4, head_dim=4, d=1, ffn_dim=32)
+    cfg = ModelConfig(fs=10, S=4, D=16, N=4, A=4, head_dim=4, d=1, ffn_dim=32)
     return ModelParams(cfg, np.random.default_rng(seed))
 
 
@@ -41,7 +41,8 @@ class TestRoundTrip:
             assert fh.read(8) == MAGIC
 
     def test_config_block_layout(self, tmp_path):
-        """The model fields, then n_classes and T, which the task and fs fix."""
+        """The model fields with C=1 after S, then n_classes and T: the lines
+        the single channel, the task and fs fix."""
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, small_params())
         with open(path, "rb") as fh:
@@ -126,7 +127,8 @@ class TestCorruption:
         with pytest.raises(ParseError, match="'conv_b2' has non-finite values"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("old,new", [(b"n_classes=5", b"n_classes=4"), (b"T=300", b"T=200")])
+    @pytest.mark.parametrize("old,new", [(b"n_classes=5", b"n_classes=4"), (b"T=300", b"T=200"),
+                                         (b"C=1", b"C=2")])
     def test_fixed_config_line_mismatch_names_line(self, tmp_path, old, new):
         path, at = self._patched(tmp_path, old, new)
         with pytest.raises(ParseError, match=re.escape(f"'{new.decode()}' must be '{old.decode()}'")) as exc:

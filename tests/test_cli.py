@@ -122,11 +122,39 @@ class TestTrain:
         assert re.search(r"seq_len = 3.*\[model\] S = 2", capsys.readouterr().err)
 
     @pytest.mark.parametrize("section,key", [("model", "T"), ("model", "n_classes"),
-                                             ("loss", "n_classes")])
+                                             ("loss", "n_classes"), ("model", "C")])
     def test_fixed_quantities_are_unknown_keys(self, tmp_path, capsys, section, key):
         path = write_config(tmp_path, with_line(section, key, "300" if key == "T" else "5"))
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+    def test_negative_noise_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, with_line("data", "noise_sd", "-5"))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "[data] noise_sd must be nonnegative, got -5.0" in capsys.readouterr().err
+
+    def test_p0_checked_before_data_loads(self, tmp_path, capsys):
+        # with the data loaded first, the missing path would exit 2
+        text = with_line("train", "p0", "0.5").replace(
+            "source = synth", f"source = edf\npath = {tmp_path / 'absent'}")
+        path = write_config(tmp_path, text)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "p0 must be in [0, 0.5), got 0.5" in capsys.readouterr().err
+
+    def test_validation_without_full_window_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "nights"
+        data.mkdir()
+        cycle = ["Sleep stage W", "Sleep stage 1", "Sleep stage 2", "Sleep stage 3",
+                 "Sleep stage R"] * 4
+        (data / "long0.edf").write_bytes(tal_edf(10, cycle))
+        (data / "long1.edf").write_bytes(tal_edf(10, cycle))
+        (data / "short.edf").write_bytes(tal_edf(10, cycle[:1]))
+        path = write_config(tmp_path, CONFIG.replace("source = synth",
+                                                     f"source = edf\npath = {data}"))
+        # seed 4 sends 'short', one epoch against S = 2, to validation
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o"), "--seed", "4"]) == 2
+        assert ("validation store has no subject with 2 consecutive epochs"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("section,key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -242,6 +270,24 @@ class TestTransfer:
                                 .replace("seq_len = 2", "seq_len = 20"), "eval.ini")
         assert main(["transfer", ckpt, "--config", eval_cfg, "--out", str(tmp_path / "tr")]) == 1
         assert re.search(r"seq_len = 20.*checkpoint's S = 2", capsys.readouterr().err)
+
+    def test_test_store_without_full_window_exits_two(self, config_path, tmp_path, capsys):
+        eval_cfg = write_config(tmp_path, CONFIG.replace("test_epochs = 12", "test_epochs = 1"),
+                                "eval.ini")
+        assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
+                     "--out", str(tmp_path / "tr")]) == 2
+        assert "test store has no subject with 2 consecutive epochs" in capsys.readouterr().err
+
+    def test_checkpoint_config_the_model_rejects_exits_two(self, config_path, tmp_path, capsys):
+        ckpt = random_checkpoint(config_path, tmp_path)
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob.replace(b"fs=10", b"fs=11", 1))
+        assert main(["transfer", ckpt, "--config", config_path,
+                     "--out", str(tmp_path / "tr")]) == 2
+        err = capsys.readouterr().err
+        assert "fs must be even" in err and "(offset 8)" in err
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_resample_rate_exits_one(self, config_path, tmp_path, capsys, rate):

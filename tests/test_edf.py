@@ -1,11 +1,15 @@
 """EDF writer/parser round trips, header validation offsets, and TAL decoding."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sst.edf import (
+    HEADER_FIELDS,
+    SIGNAL_FIELDS,
     EdfHeader,
     EdfSignalHeader,
     Hypnogram,
@@ -31,6 +35,38 @@ def one_signal_header(n_records=2, spr=3, duration=1.0):
         header_bytes=512, reserved="", n_records=n_records,
         record_duration_s=duration, n_signals=1, signals=[sig],
     )
+
+
+def _numeric_fields():
+    """{name: (offset, width)} of the numeric header fields of a one-signal file."""
+    numeric = {"header_bytes", "n_records", "record_duration_s", "n_signals", "phys_min",
+               "phys_max", "dig_min", "dig_max", "samples_per_record"}
+    out, at = {}, 0
+    for name, width in (*HEADER_FIELDS, *SIGNAL_FIELDS):
+        if name in numeric:
+            out[name] = (at, width)
+        at += width
+    return out
+
+
+NUMERIC_FIELDS = _numeric_fields()
+
+_NUMBERS = st.one_of(
+    st.integers(-(10**7), 10**8),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -1, 1, -32768, 32767, 1e308, -1e308, 1e-300, 5e-324]),
+)
+
+
+def _field_text(value, width):
+    """The value as an EDF field: an integer, or the most digits of a float that fit."""
+    if isinstance(value, int):
+        return str(value)
+    for digits in range(10, 0, -1):
+        text = f"{value:.{digits}g}"
+        if len(text) <= width:
+            return text
+    return text
 
 
 class TestRoundTrip:
@@ -162,6 +198,40 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="physical range") as err:
             parse_edf(bytes(blob))
         assert err.value.offset == 360
+
+    def test_sample_map_overflow(self):
+        blob = bytearray(self.blob())
+        # phys 0..1e308 over dig 0..1: a stored 5 would map to 5e308
+        blob[360:392] = b"0       1e308   0       1       "
+        for strict in (True, False):
+            with pytest.raises(ParseError, match="maps int16 samples outside float64") as err:
+                parse_edf(bytes(blob), strict=strict)
+            assert err.value.offset == 368
+
+    @settings(max_examples=300, deadline=None)
+    @given(changes=st.lists(st.tuples(st.sampled_from(sorted(NUMERIC_FIELDS)), _NUMBERS),
+                            min_size=1, max_size=4, unique_by=lambda c: c[0]))
+    @example(changes=[("phys_min", 0), ("phys_max", 1e308), ("dig_min", 0), ("dig_max", 1)])
+    @example(changes=[("record_duration_s", 5e-324)])
+    def test_numeric_header_mutations(self, changes):
+        """Any numbers in the numeric header fields: the file parses to traces
+        with a positive, finite rate and finite samples, or it is refused with
+        a ParseError at an offset."""
+        blob = bytearray(self.blob())
+        for name, value in changes:
+            at, width = NUMERIC_FIELDS[name]
+            text = _field_text(value, width)
+            assume(len(text) <= width)
+            blob[at : at + width] = text.encode("ascii").ljust(width)
+        for strict in (True, False):
+            try:
+                _, traces, _ = parse_edf(bytes(blob), strict=strict)
+            except ParseError as exc:
+                assert exc.offset is not None
+                continue
+            for trace in traces:
+                assert 0 < trace.fs < math.inf
+                assert np.isfinite(trace.samples).all()
 
     def test_lenient_repairs_padded_numeric(self):
         blob = bytearray(self.blob())

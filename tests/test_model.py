@@ -23,7 +23,7 @@ from conftest import assert_grad_close, fd_grad
 
 
 def toy_config(**overrides):
-    base = dict(fs=10, S=4, C=1, D=16, N=4, A=4, head_dim=4, d=1, ffn_dim=32)
+    base = dict(fs=10, S=4, D=16, N=4, A=4, head_dim=4, d=1, ffn_dim=32)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -103,6 +103,8 @@ class TestCnnBlock:
         params = ModelParams(cfg, rng)
         with pytest.raises(DimensionError):
             cnn_block_forward(Tensor(rng.standard_normal((2, 4, 1, 299))), params, cfg)
+        with pytest.raises(DimensionError, match=r"\(B, 4, 1, 300\)"):
+            cnn_block_forward(Tensor(rng.standard_normal((2, 4, 2, 300))), params, cfg)
 
 
 def record_outputs(monkeypatch, module, name):
@@ -298,7 +300,7 @@ class TestModelParams:
         cfg = toy_config()
         params = ModelParams(cfg, rng)
         k_a = 4 * cfg.fs
-        assert np.max(np.abs(params.conv_a1.data)) <= 1.0 / np.sqrt(cfg.C * k_a)
+        assert np.max(np.abs(params.conv_a1.data)) <= 1.0 / np.sqrt(k_a)
         assert np.max(np.abs(params.w_mlp.data)) <= 1.0 / np.sqrt(cfg.D)
         np.testing.assert_array_equal(params.ete[0].ln1_gain.data, np.ones(cfg.D))
         np.testing.assert_array_equal(params.ete[0].ln2_bias.data, np.zeros(cfg.D))

@@ -3,6 +3,8 @@ import numpy as np
 from sst.autodiff import Tensor, backward
 from sst.optim import AdamState, adam_step, clip_global_norm, zero_grads
 
+BETAS = (0.9, 0.999)
+
 
 def _with_grad(data, grad):
     t = Tensor(data, requires_grad=True)
@@ -45,12 +47,12 @@ class TestAdamStep:
     def test_first_step_is_signed_lr(self):
         # m_hat = g, v_hat = g^2 -> update = -lr * g / (|g| + eps)
         p = _with_grad([1.0, 1.0], [0.01, -0.2])
-        adam_step([p], AdamState([p]), lr=0.001, weight_decay=0.0)
+        adam_step([p], AdamState([p]), lr=0.001, betas=BETAS, weight_decay=0.0)
         np.testing.assert_allclose(p.data, [1.0 - 0.001, 1.0 + 0.001], rtol=1e-5)
 
     def test_zero_grad_zero_wd_unchanged(self):
         p = _with_grad([2.0], [0.0])
-        adam_step([p], AdamState([p]), lr=0.1, weight_decay=0.0)
+        adam_step([p], AdamState([p]), lr=0.1, betas=BETAS, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, [2.0])
 
     def test_descent_on_quadratic(self):
@@ -62,16 +64,16 @@ class TestAdamStep:
             loss = (p * p).sum()
             losses.append(loss.item())
             backward(loss)
-            adam_step([p], state, lr=0.05)
+            adam_step([p], state, lr=0.05, betas=BETAS, weight_decay=0.0)
         final = (p * p).sum().item()
         assert final < losses[1] < losses[0]
 
     def test_coupled_weight_decay_moves_zero_grad_param(self):
         p = _with_grad([1.0], [0.0])
-        adam_step([p], AdamState([p]), lr=0.001, weight_decay=0.1)
+        adam_step([p], AdamState([p]), lr=0.001, betas=BETAS, weight_decay=0.1)
         assert p.data[0] < 1.0
 
     def test_missing_grad_skipped(self):
         p = Tensor([1.0], requires_grad=True)
-        adam_step([p], AdamState([p]), lr=0.1)
+        adam_step([p], AdamState([p]), lr=0.1, betas=BETAS, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, [1.0])

@@ -4,12 +4,11 @@ provenance frequencies, and the easy/difficult memory protocol."""
 import numpy as np
 import pytest
 
-from sst.errors import ConfigError, ContractError, DataError
+from sst.errors import ContractError, DataError
 from sst.sampling import (
     EpochStore,
     PairBatch,
     SamplingMemory,
-    StoredCompanion,
     balanced_anchor_indices,
     draw_pair_batch,
     match_companion,
@@ -17,12 +16,16 @@ from sst.sampling import (
 )
 
 
-def make_store(rng, subjects=3, per_subject=30, C=1, T=8):
+# the TrainConfig defaults of the reuse probability and the sampling mode
+DRAW = {"p0": 0.25, "mode": "easy+difficult"}
+
+
+def make_store(rng, subjects=3, per_subject=30, T=8):
     records = []
     for k in range(subjects):
         labels = [(i + k) % 5 for i in range(per_subject)]
         for label in labels:
-            records.append((f"s{k}", rng.standard_normal((C, T)), label))
+            records.append((f"s{k}", rng.standard_normal((1, T)), label))
     return EpochStore(records)
 
 
@@ -39,6 +42,10 @@ class TestEpochStore:
         records = [("a", rng.standard_normal((1, 8)), 0), ("a", rng.standard_normal((1, 9)), 1)]
         with pytest.raises(DataError):
             EpochStore(records)
+
+    def test_second_channel_rejected(self, rng):
+        with pytest.raises(DataError, match=r"record 0: signal must be \(1, T\)"):
+            EpochStore([("a", rng.standard_normal((2, 8)), 0)])
 
     def test_bad_label_rejected(self, rng):
         with pytest.raises(DataError):
@@ -139,8 +146,8 @@ class TestMatchCompanion:
 class TestDrawPairBatch:
     def test_shapes_and_labels(self, rng):
         store = make_store(rng)
-        memory = SamplingMemory(p0=0.25)
-        batch = draw_pair_batch(store, memory, B=3, S=4, rng=rng)
+        memory = SamplingMemory()
+        batch = draw_pair_batch(store, memory, B=3, S=4, rng=rng, **DRAW)
         assert batch.X.shape == (3, 4, 1, 8)
         assert batch.Xp.shape == (3, 4, 1, 8)
         assert batch.Y.shape == (3, 4)
@@ -152,58 +159,61 @@ class TestDrawPairBatch:
 
     def test_p0_zero_always_random(self, rng):
         store = make_store(rng)
-        memory = SamplingMemory(p0=0.0)
-        seed_batch = draw_pair_batch(store, memory, 2, 3, rng)
+        memory = SamplingMemory()
+        never = {**DRAW, "p0": 0.0}
+        seed_batch = draw_pair_batch(store, memory, 2, 3, rng, **never)
         update_memory(memory, seed_batch, 1.0)
         for _ in range(40):
-            assert draw_pair_batch(store, memory, 2, 3, rng).provenance == "random"
+            assert draw_pair_batch(store, memory, 2, 3, rng, **never).provenance == "random"
 
     def test_empty_memory_always_random(self, rng):
         store = make_store(rng)
-        memory = SamplingMemory(p0=0.4)
+        memory = SamplingMemory()
         for _ in range(40):
-            assert draw_pair_batch(store, memory, 2, 3, rng).provenance == "random"
+            batch = draw_pair_batch(store, memory, 2, 3, rng, p0=0.4, mode="easy+difficult")
+            assert batch.provenance == "random"
 
     def test_provenance_frequencies(self, rng):
         store = make_store(rng, subjects=1, per_subject=15, T=4)
-        memory = SamplingMemory(p0=0.25)
-        first = draw_pair_batch(store, memory, 2, 3, rng)
+        memory = SamplingMemory()
+        first = draw_pair_batch(store, memory, 2, 3, rng, **DRAW)
         update_memory(memory, first, 1.0)
         counts = {"random": 0, "easy": 0, "difficult": 0}
         n = 20000
         for _ in range(n):
-            counts[draw_pair_batch(store, memory, 2, 3, rng).provenance] += 1
+            counts[draw_pair_batch(store, memory, 2, 3, rng, **DRAW).provenance] += 1
         assert abs(counts["easy"] / n - 0.25) < 0.02
         assert abs(counts["difficult"] / n - 0.25) < 0.02
         assert abs(counts["random"] / n - 0.50) < 0.02
 
     def test_easy_only_mode_disables_difficult(self, rng):
         store = make_store(rng, subjects=1, per_subject=15, T=4)
-        memory = SamplingMemory(p0=0.25, mode="easy")
-        update_memory(memory, draw_pair_batch(store, memory, 2, 3, rng), 1.0)
+        memory = SamplingMemory()
+        update_memory(memory, draw_pair_batch(store, memory, 2, 3, rng, p0=0.25, mode="easy"), 1.0)
         counts = {"random": 0, "easy": 0, "difficult": 0}
         n = 4000
         for _ in range(n):
-            counts[draw_pair_batch(store, memory, 2, 3, rng).provenance] += 1
+            counts[draw_pair_batch(store, memory, 2, 3, rng, p0=0.25, mode="easy").provenance] += 1
         assert counts["difficult"] == 0
         assert abs(counts["easy"] / n - 0.25) < 0.03
 
     def test_none_mode_never_reuses(self, rng):
         store = make_store(rng)
-        memory = SamplingMemory(p0=0.4, mode="none")
-        update_memory(memory, draw_pair_batch(store, memory, 2, 3, rng), 1.0)
+        memory = SamplingMemory()
+        off = {"p0": 0.4, "mode": "none"}
+        update_memory(memory, draw_pair_batch(store, memory, 2, 3, rng, **off), 1.0)
         for _ in range(40):
-            assert draw_pair_batch(store, memory, 2, 3, rng).provenance == "random"
+            assert draw_pair_batch(store, memory, 2, 3, rng, **off).provenance == "random"
 
     def test_reuse_keeps_companion_and_redraws_anchor(self, rng):
         store = make_store(rng)
-        memory = SamplingMemory(p0=0.45)
-        stored = draw_pair_batch(store, memory, 2, 3, rng)
+        memory = SamplingMemory()
+        stored = draw_pair_batch(store, memory, 2, 3, rng, p0=0.45, mode="easy+difficult")
         update_memory(memory, stored, 1.0)
         lookup = label_lookup(store)
         saw_reuse = False
         for _ in range(30):
-            batch = draw_pair_batch(store, memory, 2, 3, rng)
+            batch = draw_pair_batch(store, memory, 2, 3, rng, p0=0.45, mode="easy+difficult")
             if batch.provenance == "random":
                 continue
             saw_reuse = True
@@ -217,24 +227,15 @@ class TestDrawPairBatch:
                     assert lookup[batch.X.data[b, s].tobytes()] == batch.Y[b, s]
         assert saw_reuse
 
-    def test_mismatched_slot_shape_falls_through(self, rng):
-        store = make_store(rng)
-        memory = SamplingMemory(p0=0.45)
-        memory.easy = StoredCompanion(indices=[[0, 1]], loss=1.0)  # B=1, caller asks B=2
-        memory.best = 1.0
-        memory.worst = 1.0
-        for _ in range(30):
-            assert draw_pair_batch(store, memory, 2, 3, rng).provenance == "random"
-
     def test_seeded_determinism(self, rng):
         store = make_store(rng)
 
         def run(seed):
             r = np.random.default_rng(seed)
-            memory = SamplingMemory(p0=0.25)
+            memory = SamplingMemory()
             out = []
             for i in range(6):
-                batch = draw_pair_batch(store, memory, 2, 3, r)
+                batch = draw_pair_batch(store, memory, 2, 3, r, **DRAW)
                 update_memory(memory, batch, float(i % 3))
                 out.append((batch.X.data.tobytes(), batch.Y.tobytes(), batch.provenance))
             return out
@@ -244,41 +245,31 @@ class TestDrawPairBatch:
 
 
 class TestSamplingMemory:
-    def test_p0_range_enforced(self):
-        with pytest.raises(ConfigError):
-            SamplingMemory(p0=0.5)
-        with pytest.raises(ConfigError):
-            SamplingMemory(p0=-0.1)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            SamplingMemory(mode="hardest")
-
     def test_first_update_fills_both_slots(self, rng):
         store = make_store(rng)
         memory = SamplingMemory()
-        batch = draw_pair_batch(store, memory, 2, 3, rng)
+        batch = draw_pair_batch(store, memory, 2, 3, rng, **DRAW)
         update_memory(memory, batch, 1.5)
-        assert memory.easy is not None and memory.difficult is not None
-        assert memory.easy.loss == memory.difficult.loss == 1.5
+        assert memory.easy == memory.difficult == batch.companion_ids
+        assert memory.best == memory.worst == 1.5
 
     def test_watermark_trace(self, rng):
         store = make_store(rng)
         memory = SamplingMemory()
-        batches = [draw_pair_batch(store, memory, 2, 3, rng) for _ in range(3)]
+        batches = [draw_pair_batch(store, memory, 2, 3, rng, **DRAW) for _ in range(3)]
         update_memory(memory, batches[0], 1.0)
         update_memory(memory, batches[1], 0.5)
         update_memory(memory, batches[2], 2.0)
-        assert memory.easy.loss == 0.5
-        assert memory.easy.indices == batches[1].companion_ids
-        assert memory.difficult.loss == 2.0
-        assert memory.difficult.indices == batches[2].companion_ids
+        assert memory.best == 0.5
+        assert memory.easy == batches[1].companion_ids
+        assert memory.worst == 2.0
+        assert memory.difficult == batches[2].companion_ids
 
     def test_ties_keep_incumbent(self, rng):
         store = make_store(rng)
         memory = SamplingMemory()
-        a = draw_pair_batch(store, memory, 2, 3, rng)
-        b = draw_pair_batch(store, memory, 2, 3, rng)
+        a = draw_pair_batch(store, memory, 2, 3, rng, **DRAW)
+        b = draw_pair_batch(store, memory, 2, 3, rng, **DRAW)
         update_memory(memory, a, 1.0)
         easy_before, difficult_before = memory.easy, memory.difficult
         update_memory(memory, b, 1.0)
@@ -290,7 +281,7 @@ class TestSamplingMemory:
         memory = SamplingMemory()
         best_seen, worst_seen = [], []
         for _ in range(50):
-            batch = draw_pair_batch(store, memory, 1, 2, rng)
+            batch = draw_pair_batch(store, memory, 1, 2, rng, **DRAW)
             update_memory(memory, batch, float(rng.standard_normal()))
             best_seen.append(memory.best)
             worst_seen.append(memory.worst)
@@ -300,6 +291,6 @@ class TestSamplingMemory:
     def test_nan_loss_rejected(self, rng):
         store = make_store(rng)
         memory = SamplingMemory()
-        batch = draw_pair_batch(store, memory, 1, 2, rng)
+        batch = draw_pair_batch(store, memory, 1, 2, rng, **DRAW)
         with pytest.raises(ContractError):
             update_memory(memory, batch, float("nan"))

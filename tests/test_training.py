@@ -27,7 +27,7 @@ from sst.training import (
     variance_experiment,
 )
 
-TOY_MODEL = dict(fs=10, S=2, C=1, D=8, N=2, A=2, head_dim=4, d=1, ffn_dim=16)
+TOY_MODEL = dict(fs=10, S=2, D=8, N=2, A=2, head_dim=4, d=1, ffn_dim=16)
 
 
 def toy_model_config(**overrides):
@@ -66,6 +66,16 @@ class TestTrainConfig:
             TrainConfig(sampling_mode="sometimes")
         with pytest.raises(ConfigError):
             TrainConfig(beta1=1.0)
+
+    def test_p0_range_enforced(self):
+        with pytest.raises(ConfigError, match=r"p0 must be in \[0, 0\.5\)"):
+            TrainConfig(p0=0.5)
+        with pytest.raises(ConfigError, match="p0"):
+            TrainConfig(p0=-0.1)
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ConfigError, match="sampling_mode"):
+            TrainConfig(sampling_mode="hardest")
 
 
 class TestSplitSubjects:
@@ -266,8 +276,8 @@ class TestTrainStep:
         store = toy_store()
         model_cfg = toy_model_config(d=2)
         cfg = toy_train_config(batch_size=3, clip_norm=1e12)
-        batch = draw_pair_batch(store, SamplingMemory(mode="none"), cfg.batch_size,
-                                model_cfg.S, np.random.default_rng(5))
+        batch = draw_pair_batch(store, SamplingMemory(), cfg.batch_size,
+                                model_cfg.S, np.random.default_rng(5), p0=0.25, mode="none")
         fused = ModelParams(model_cfg, np.random.default_rng(2))
         reference = fused.copy()
 

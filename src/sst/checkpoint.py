@@ -81,32 +81,34 @@ def load_checkpoint(path: str) -> ModelParams:
     if cur.take(len(MAGIC)) != MAGIC:
         raise ParseError(f"{path}: bad checkpoint magic", offset=0)
 
-    fields, offsets = {}, {}
+    # The block must be exactly the lines save_checkpoint writes: first the
+    # keys, in the order every config writes them, then the values.
     block_at = cur.pos
-    for _ in range(cur.u32()):
-        line, at = cur.text("config line")
-        key, _, value = line.partition("=")
+    lines = [cur.text("config line") for _ in range(cur.u32())]
+    keys = list(_config_values(ModelConfig()))
+    fields = {}
+    for i, key in enumerate(keys):
+        if i == len(lines):
+            raise ParseError(f"checkpoint config block ends where its '{key}' line belongs",
+                             offset=cur.pos)
+        line, at = lines[i]
+        name, _, value = line.partition("=")
+        if name != key:
+            raise ParseError(f"checkpoint config line '{line}' must be a '{key}=' line", offset=at)
         try:
-            fields[key] = int(value)
+            fields[name] = int(value)
         except ValueError:
             raise ParseError(f"checkpoint config line {line!r} has no integer value", offset=at) from None
-        offsets[key] = at
-    stated = {key: fields.pop(key) for key in ("C", "n_classes", "T") if key in fields}
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = sorted(set(fields) - known)
-    if unknown:
-        raise ParseError(f"checkpoint config has unknown keys: {', '.join(unknown)}")
+    if len(lines) > len(keys):
+        line, at = lines[len(keys)]
+        raise ParseError(f"checkpoint config has an extra line '{line}'", offset=at)
     try:
-        config = ModelConfig(**fields)
-    except TypeError as exc:
-        raise ParseError(f"checkpoint config incomplete: {exc}", offset=block_at) from None
+        config = ModelConfig(**{f.name: fields[f.name] for f in dataclasses.fields(ModelConfig)})
     except ConfigError as exc:
         raise ParseError(f"checkpoint config rejected: {exc}", offset=block_at) from None
-    expected = _config_values(config)
-    for key, value in stated.items():
-        if value != expected[key]:
-            raise ParseError(f"checkpoint config line '{key}={value}' must be "
-                             f"'{key}={expected[key]}'", offset=offsets[key])
+    for (line, at), (key, value) in zip(lines, _config_values(config).items()):
+        if line != f"{key}={value}":
+            raise ParseError(f"checkpoint config line '{line}' must be '{key}={value}'", offset=at)
 
     params = ModelParams(config)
     by_name = dict(params.named_params())

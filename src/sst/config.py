@@ -102,10 +102,16 @@ def _section_kwargs(parser, section: str, fields, aliases=None) -> dict:
 def load_run_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"config path is not a file: {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        parser.read(path)
+        parser.read_string(raw.decode("utf-8"), source=path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

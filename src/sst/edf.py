@@ -17,31 +17,38 @@ import numpy as np
 from .errors import DataError, ParseError
 from .metrics import N_CLASSES
 
-HEADER_FIELDS = (  # (name, width)
-    ("version", 8),
-    ("patient", 80),
-    ("recording", 80),
-    ("start_date", 8),
-    ("start_time", 8),
-    ("header_bytes", 8),
-    ("reserved", 44),
-    ("n_records", 8),
-    ("record_duration_s", 8),
-    ("n_signals", 4),
+HEADER_FIELDS = (  # (name, width, type)
+    ("version", 8, str),
+    ("patient", 80, str),
+    ("recording", 80, str),
+    ("start_date", 8, str),
+    ("start_time", 8, str),
+    ("header_bytes", 8, int),
+    ("reserved", 44, str),
+    ("n_records", 8, int),
+    ("record_duration_s", 8, float),
+    ("n_signals", 4, int),
 )
 
 SIGNAL_FIELDS = (
-    ("label", 16),
-    ("transducer", 80),
-    ("phys_dim", 8),
-    ("phys_min", 8),
-    ("phys_max", 8),
-    ("dig_min", 8),
-    ("dig_max", 8),
-    ("prefilter", 80),
-    ("samples_per_record", 8),
-    ("reserved", 32),
+    ("label", 16, str),
+    ("transducer", 80, str),
+    ("phys_dim", 8, str),
+    ("phys_min", 8, float),
+    ("phys_max", 8, float),
+    ("dig_min", 8, int),
+    ("dig_max", 8, int),
+    ("prefilter", 80, str),
+    ("samples_per_record", 8, int),
+    ("reserved", 32, str),
 )
+
+# per numeric type: what a strict error calls it, and the first match that
+# lenient mode salvages out of a sloppy field
+_NUMERIC = {
+    int: ("an integer", re.compile(r"-?\d+")),
+    float: ("a number", re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")),
+}
 
 # EDF+ label of the signal that carries TAL annotations
 ANNOTATION_LABEL = "EDF Annotations"
@@ -98,7 +105,6 @@ class SignalTrace:
     label: str
     fs: float
     samples: np.ndarray                 # physical units, float64
-    phys_dim: str = ""
     digital: np.ndarray | None = None   # raw int16, kept for exact rewrites
 
 
@@ -109,44 +115,31 @@ class _Cursor:
         self.strict = strict
         self.warnings = warnings
 
-    def field(self, width: int, name: str) -> tuple[str, int]:
+    def read(self, width: int, name: str, kind: type) -> tuple:
+        """The next field as kind (str, int or float) and its offset."""
         at = self.pos
         if at + width > len(self.data):
             raise ParseError(f"header truncated in field {name}", offset=at)
         raw = self.data[at : at + width]
         self.pos += width
         try:
-            text = raw.decode("ascii")
+            text = raw.decode("ascii").strip()
         except UnicodeDecodeError:
             if self.strict:
                 raise ParseError(f"field {name} is not ASCII", offset=at) from None
-            text = raw.decode("ascii", errors="replace")
+            text = raw.decode("ascii", errors="replace").strip()
             self.warnings.append(f"field {name} at offset {at}: non-ASCII bytes replaced")
-        return text.strip(), at
-
-    def int_field(self, width: int, name: str) -> tuple[int, int]:
-        text, at = self.field(width, name)
+        if kind is str:
+            return text, at
         try:
-            return int(text), at
+            return kind(text), at
         except ValueError:
-            if not self.strict:
-                m = re.search(r"-?\d+", text)
-                if m:
-                    self.warnings.append(f"field {name} at offset {at}: parsed {m.group()!r} out of {text!r}")
-                    return int(m.group()), at
-            raise ParseError(f"field {name} is not an integer: {text!r}", offset=at) from None
-
-    def float_field(self, width: int, name: str) -> tuple[float, int]:
-        text, at = self.field(width, name)
-        try:
-            return float(text), at
-        except ValueError:
-            if not self.strict:
-                m = re.search(r"-?\d+(\.\d+)?([eE][+-]?\d+)?", text)
-                if m:
-                    self.warnings.append(f"field {name} at offset {at}: parsed {m.group()!r} out of {text!r}")
-                    return float(m.group()), at
-            raise ParseError(f"field {name} is not a number: {text!r}", offset=at) from None
+            what, salvage = _NUMERIC[kind]
+            m = None if self.strict else salvage.search(text)
+            if m is None:
+                raise ParseError(f"field {name} is not {what}: {text!r}", offset=at) from None
+            self.warnings.append(f"field {name} at offset {at}: parsed {m.group()!r} out of {text!r}")
+            return kind(m.group()), at
 
 
 def parse_edf(data: bytes, strict: bool = True):
@@ -156,53 +149,36 @@ def parse_edf(data: bytes, strict: bool = True):
         raise ParseError(f"file is {len(data)} bytes, EDF header needs 256", offset=len(data))
     cur = _Cursor(data, strict, warnings)
 
-    version, _ = cur.field(8, "version")
-    patient, _ = cur.field(80, "patient")
-    recording, _ = cur.field(80, "recording")
-    start_date, _ = cur.field(8, "start_date")
-    start_time, _ = cur.field(8, "start_time")
-    header_bytes, hb_at = cur.int_field(8, "header_bytes")
-    reserved, _ = cur.field(44, "reserved")
-    n_records, nr_at = cur.int_field(8, "n_records")
-    record_duration_s, rd_at = cur.float_field(8, "record_duration_s")
-    n_signals, ns_at = cur.int_field(4, "n_signals")
+    fields, at = {}, {}
+    for name, width, kind in HEADER_FIELDS:
+        fields[name], at[name] = cur.read(width, name, kind)
+    header_bytes, n_signals = fields["header_bytes"], fields["n_signals"]
+    record_duration_s = fields["record_duration_s"]
 
     if not (math.isfinite(record_duration_s) and record_duration_s > 0):
         raise ParseError(
             f"record_duration_s must be positive and finite, got {record_duration_s}",
-            offset=rd_at,
+            offset=at["record_duration_s"],
         )
 
     if n_signals <= 0:
-        raise ParseError(f"n_signals must be positive, got {n_signals}", offset=ns_at)
+        raise ParseError(f"n_signals must be positive, got {n_signals}", offset=at["n_signals"])
     if header_bytes != 256 * (1 + n_signals):
         raise ParseError(
             f"header_bytes is {header_bytes}, must be 256*(1+{n_signals}) = {256 * (1 + n_signals)}",
-            offset=hb_at,
+            offset=at["header_bytes"],
         )
     if len(data) < header_bytes:
         raise ParseError("file ends inside the signal header block", offset=len(data))
 
-    columns: dict[str, list] = {}
-    offsets: dict[str, list[int]] = {}
-    for name, width in SIGNAL_FIELDS:
-        values, ats = [], []
-        for i in range(n_signals):
-            fname = f"signal {i} {name}"
-            if name in ("phys_min", "phys_max"):
-                v, at = cur.float_field(width, fname)
-            elif name in ("dig_min", "dig_max", "samples_per_record"):
-                v, at = cur.int_field(width, fname)
-            else:
-                v, at = cur.field(width, fname)
-            values.append(v)
-            ats.append(at)
-        columns[name] = values
-        offsets[name] = ats
+    columns, offsets = {}, {}
+    for name, width, kind in SIGNAL_FIELDS:
+        columns[name], offsets[name] = zip(*(cur.read(width, f"signal {i} {name}", kind)
+                                             for i in range(n_signals)))
 
     signals = []
     for i in range(n_signals):
-        sig = EdfSignalHeader(**{name: columns[name][i] for name, _ in SIGNAL_FIELDS})
+        sig = EdfSignalHeader(**{name: column[i] for name, column in columns.items()})
         if sig.dig_min >= sig.dig_max:
             raise ParseError(
                 f"signal {i}: digital min {sig.dig_min} >= max {sig.dig_max}",
@@ -240,23 +216,20 @@ def parse_edf(data: bytes, strict: bool = True):
         if not math.isfinite(sig.samples_per_record / record_duration_s):
             raise ParseError(
                 f"signal {i}: {sig.samples_per_record} samples per {record_duration_s} s "
-                f"is not a finite rate", offset=rd_at,
+                f"is not a finite rate", offset=at["record_duration_s"],
             )
         signals.append(sig)
 
+    n_records = fields["n_records"]
     if n_records < 0:
         if strict:
-            raise ParseError(f"n_records is {n_records}", offset=nr_at)
+            raise ParseError(f"n_records is {n_records}", offset=at["n_records"])
         per_record = sum(s.samples_per_record for s in signals) * 2
         n_records = (len(data) - header_bytes) // per_record
         warnings.append(f"n_records was -1, inferred {n_records} from file size")
 
-    header = EdfHeader(
-        version=version, patient=patient, recording=recording,
-        start_date=start_date, start_time=start_time, header_bytes=header_bytes,
-        reserved=reserved, n_records=n_records, record_duration_s=record_duration_s,
-        n_signals=n_signals, signals=signals,
-    )
+    fields["n_records"] = n_records
+    header = EdfHeader(**fields, signals=signals)
 
     spr = np.array([s.samples_per_record for s in signals], dtype=np.int64)
     per_record = int(spr.sum())
@@ -281,7 +254,6 @@ def parse_edf(data: bytes, strict: bool = True):
                 label=sig.label,
                 fs=sig.samples_per_record / header.record_duration_s,
                 samples=physical,
-                phys_dim=sig.phys_dim,
                 digital=digital,
             )
         )
@@ -307,9 +279,9 @@ def write_edf(header: EdfHeader, digital: list[np.ndarray]) -> bytes:
         raise DataError(f"{len(digital)} signal arrays for {header.n_signals} header entries")
     header.header_bytes = 256 * (1 + header.n_signals)
     chunks = []
-    for name, width in HEADER_FIELDS:
+    for name, width, _ in HEADER_FIELDS:
         chunks.append(_pack(getattr(header, name), width, name))
-    for name, width in SIGNAL_FIELDS:
+    for name, width, _ in SIGNAL_FIELDS:
         for i, sig in enumerate(header.signals):
             chunks.append(_pack(getattr(sig, name), width, f"signal {i} {name}"))
 
@@ -430,5 +402,5 @@ def annotation_hypnogram(traces: list[SignalTrace]) -> Hypnogram | None:
     """The hypnogram in the first EDF+ annotation signal, or None without one."""
     for trace in traces:
         if ANNOTATION_LABEL.lower() in trace.label.lower():
-            return parse_tal_annotations(trace.digital.astype("<i2").tobytes())
+            return parse_tal_annotations(trace.digital.tobytes())
     return None

@@ -41,6 +41,8 @@ LABEL_CHARS = "W123R"
 DEFAULT_CLASS_FREQ_FRACTIONS = (0.02, 0.06, 0.11, 0.17, 0.23)
 
 MAX_RESAMPLE_FACTOR = 64
+# low-pass taps per polyphase branch: sizes the filter and the span margin
+TAPS_PER_PHASE = 64
 
 
 def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> EpochStore:
@@ -70,8 +72,7 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> E
 
         sidecar = os.path.splitext(filename)[0] + ".labels"
         if os.path.exists(sidecar):
-            with open(sidecar, "r", encoding="ascii") as fh:
-                labels = labels_from_text(fh.read())
+            labels = _read_sidecar(sidecar)
             T, available = _epoch_grid(trace, target_fs)
             if len(labels) > available:
                 raise DataError(
@@ -113,10 +114,10 @@ def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, subject: str = "unknown"
                     target_fs: float | None = None):
     """Slice a trace into epoch records labeled by the covering stage.
 
-    With target_fs the epochs are those of resample(trace, target_fs), but
-    only the runs of kept epochs are resampled. Returns (records, dropped):
-    records are (subject, (1, T) signal, label); epochs whose span is not
-    fully covered by a single known stage are dropped and counted.
+    With target_fs the epochs are those of resample(trace.samples, trace.fs,
+    target_fs), but only the runs of kept epochs are resampled. Returns
+    (records, dropped): records are (subject, (1, T) signal, label); epochs
+    whose span is not fully covered by a single known stage are dropped and counted.
     """
     T, n_epochs = _epoch_grid(trace, target_fs)
     stages = hyp.stages_for_epochs(n_epochs, EPOCH_S)
@@ -157,24 +158,20 @@ def _epoch_records(trace: SignalTrace, stages: list, T: int, target_fs: float | 
 
 def _resampled_span(trace: SignalTrace, start: int, stop: int,
                     target_fs: float | None) -> np.ndarray:
-    """resample(trace, target_fs).samples[start:stop], resampling only the
-    input the span depends on."""
+    """resample(trace.samples, trace.fs, target_fs)[start:stop], resampling
+    only the input the span depends on."""
     if target_fs is None:
         return trace.samples[start:stop]
     L, M = _rate_ratio(trace.fs, target_fs)
-    if L == M:
-        return trace.samples[start:stop]
-    # Output m sits at input m*M/L and its taps reach about 32 input samples
-    # either way, so one filter length of margin covers them. Starting on a
-    # multiple of M puts the segment's outputs on the whole trace's output
-    # grid, a*L/M samples in, with the same taps in the same order.
-    margin = 64 * L + 1
+    # Output m sits at input m*M/L and its taps reach about TAPS_PER_PHASE/2
+    # input samples either way, so one filter length of margin covers them.
+    # Starting on a multiple of M puts the segment's outputs on the whole
+    # trace's output grid, a*L/M samples in, with the same taps in the same order.
+    margin = _filter_length(L)
     a = max(0, (start * M // L - margin) // M * M)
     b = min(len(trace.samples), -(-stop * M // L) + margin)
-    segment = SignalTrace(label=trace.label, fs=trace.fs, samples=trace.samples[a:b],
-                          phys_dim=trace.phys_dim)
     offset = a * L // M
-    return resample(segment, target_fs).samples[start - offset : stop - offset]
+    return resample(trace.samples[a:b], trace.fs, target_fs)[start - offset : stop - offset]
 
 
 def _rate_ratio(fs: float, target_fs: float) -> tuple[int, int]:
@@ -192,24 +189,25 @@ def _rate_ratio(fs: float, target_fs: float) -> tuple[int, int]:
     return L, M
 
 
-def resample(trace: SignalTrace, target_fs: float) -> SignalTrace:
-    """Polyphase rational resampling to target_fs.
+def _filter_length(L: int) -> int:
+    """Taps of the low-pass for upsampling by L: TAPS_PER_PHASE per phase, plus one."""
+    return TAPS_PER_PHASE * L + 1
 
-    The low-pass is a Kaiser-windowed sinc, 64 taps per phase, with each
-    polyphase branch normalized to unit DC gain so constants pass through
-    exactly. Output length is ceil(n * L / M).
+
+def resample(samples: np.ndarray, fs: float, target_fs: float) -> np.ndarray:
+    """Polyphase rational resampling of samples at fs to target_fs.
+
+    The low-pass is a Kaiser-windowed sinc, TAPS_PER_PHASE taps per phase,
+    with each polyphase branch normalized to unit DC gain so constants pass
+    through exactly. Output length is ceil(n * L / M); equal rates give a copy.
     """
-    L, M = _rate_ratio(trace.fs, target_fs)
+    L, M = _rate_ratio(fs, target_fs)
     if L == M:
-        return SignalTrace(label=trace.label, fs=float(target_fs),
-                           samples=trace.samples.copy(), phys_dim=trace.phys_dim)
-
-    h = firwin(64 * L + 1, 1.0 / max(L, M), window=("kaiser", 8.6))
+        return samples.copy()
+    h = firwin(_filter_length(L), 1.0 / max(L, M), window=("kaiser", 8.6))
     for p in range(L):
         h[p::L] /= L * h[p::L].sum()
-    out = resample_poly(trace.samples, L, M, window=h)
-    return SignalTrace(label=trace.label, fs=float(target_fs), samples=out,
-                       phys_dim=trace.phys_dim)
+    return resample_poly(samples, L, M, window=h)
 
 
 def select_trace(traces: list[SignalTrace], label_match: str) -> SignalTrace:
@@ -229,6 +227,20 @@ def labels_to_text(labels) -> str:
             raise DataError(f"label {y} at position {i} outside 0..{N_CLASSES - 1}")
         out.append(LABEL_CHARS[y])
     return "\n".join(out) + "\n"
+
+
+def _read_sidecar(path: str) -> np.ndarray:
+    """The labels of an ASCII '.labels' sidecar; a ParseError names the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return labels_from_text(raw.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: label sidecar line {lineno} is not ASCII",
+                         offset=exc.start) from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def labels_from_text(text: str) -> np.ndarray:

@@ -117,6 +117,15 @@ def sequential_windows(store: EpochStore, S: int) -> list[list[int]]:
     return out
 
 
+def _full_windows(store: EpochStore, S: int, role: str) -> list[list[int]]:
+    """sequential_windows(store, S); a DataError naming the store's role
+    when no subject holds S consecutive epochs."""
+    windows = sequential_windows(store, S)
+    if not windows:
+        raise DataError(f"{role} store has no subject with {S} consecutive epochs")
+    return windows
+
+
 def _infer_batches(params, store, windows, model_cfg, batch_size, loss_cfg):
     """Inference with X' := X over fixed windows. Returns (mean loss, report)."""
     loss_sum = 0.0
@@ -142,11 +151,7 @@ def validate(params: ModelParams, store_val: EpochStore, cfg: TrainConfig,
              model_cfg: ModelConfig):
     """Deterministic scoring pass: sequential windows, companion equal to
     the input. Returns (mean total loss, MetricsReport)."""
-    windows = sequential_windows(store_val, model_cfg.S)
-    if not windows:
-        raise DataError(
-            f"validation store has no subject with {model_cfg.S} consecutive epochs"
-        )
+    windows = _full_windows(store_val, model_cfg.S, "validation")
     return _infer_batches(params, store_val, windows, model_cfg, cfg.batch_size, cfg.loss)
 
 
@@ -185,6 +190,8 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
     root = np.random.SeedSequence(cfg.seed)
     split_seq, init_seq, sampler_seq = root.spawn(3)
     store_train, store_val = split_subjects(store, cfg.val_fraction, np.random.default_rng(split_seq))
+    if cfg.validate_every <= cfg.max_steps:
+        _full_windows(store_val, model_cfg.S, "validation")   # fail before any step is spent
     params = ModelParams(model_cfg, np.random.default_rng(init_seq))
     sampler_rng = np.random.default_rng(sampler_seq)
 
@@ -249,9 +256,7 @@ def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainCon
             f"test epochs are {store_test.signal_shape} but the checkpoint expects "
             f"(1, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
         )
-    windows = sequential_windows(store_test, model_cfg.S)
-    if not windows:
-        raise DataError(f"test store has no subject with {model_cfg.S} consecutive epochs")
+    windows = _full_windows(store_test, model_cfg.S, "test")
     _, report = _infer_batches(params, store_test, windows, model_cfg, cfg.batch_size, cfg.loss)
     return report
 

@@ -134,3 +134,65 @@ class TestCorruption:
         with pytest.raises(ParseError, match=re.escape(f"'{new.decode()}' must be '{old.decode()}'")) as exc:
             load_checkpoint(path)
         assert exc.value.offset == at
+
+
+class TestConfigBlock:
+    """The block must hold exactly the lines save_checkpoint writes, in order."""
+
+    LINES = ["fs=10", "S=4", "C=1", "D=16", "N=4", "A=4", "head_dim=4", "d=1",
+             "ffn_dim=32", "n_classes=5", "T=300"]
+
+    def _with_lines(self, tmp_path, lines):
+        """small_params saved with its config block replaced by lines; returns
+        (path, offset of each line's text, offset just past the block)."""
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, small_params())
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        old_end = len(MAGIC) + 4 + sum(4 + len(line) for line in self.LINES)
+        chunks, offsets, at = [MAGIC, struct.pack("<I", len(lines))], [], len(MAGIC) + 4
+        for line in lines:
+            chunks += [struct.pack("<I", len(line)), line.encode("ascii")]
+            offsets.append(at + 4)
+            at += 4 + len(line)
+        with open(path, "wb") as fh:
+            fh.write(b"".join(chunks) + blob[old_end:])
+        return path, offsets, at
+
+    def test_written_block_loads(self, tmp_path):
+        path, _, _ = self._with_lines(tmp_path, self.LINES)
+        assert load_checkpoint(path).config == small_params().config
+
+    @pytest.mark.parametrize("index", range(len(LINES) - 1))
+    def test_missing_line_names_the_line_that_took_its_place(self, tmp_path, index):
+        lines = self.LINES[:index] + self.LINES[index + 1:]
+        path, offsets, _ = self._with_lines(tmp_path, lines)
+        with pytest.raises(ParseError, match=f"must be a '{self.LINES[index].split('=')[0]}=' line") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offsets[index]
+
+    def test_missing_last_line(self, tmp_path):
+        path, _, end = self._with_lines(tmp_path, self.LINES[:-1])
+        with pytest.raises(ParseError, match="block ends where its 'T' line belongs") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == end
+
+    def test_extra_line(self, tmp_path):
+        path, offsets, _ = self._with_lines(tmp_path, [*self.LINES, "E=1"])
+        with pytest.raises(ParseError, match="extra line 'E=1'") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offsets[-1]
+
+    def test_unknown_key(self, tmp_path):
+        lines = [*self.LINES[:3], "depth=1", *self.LINES[3:]]
+        path, offsets, _ = self._with_lines(tmp_path, lines)
+        with pytest.raises(ParseError, match="'depth=1' must be a 'D=' line") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offsets[3]
+
+    def test_lines_out_of_order(self, tmp_path):
+        lines = [self.LINES[1], self.LINES[0], *self.LINES[2:]]
+        path, offsets, _ = self._with_lines(tmp_path, lines)
+        with pytest.raises(ParseError, match="'S=4' must be a 'fs=' line") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offsets[0]

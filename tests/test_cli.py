@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -173,6 +174,26 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_config_directory_exits_one(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config path is not a file: {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"# caf\xff\n" + CONFIG.encode("ascii"))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}: not UTF-8 at byte offset 5" in capsys.readouterr().err
+
+    def test_non_ascii_sidecar_exits_two(self, config_path, tmp_path, capsys):
+        edf_dir = tmp_path / "edf"
+        assert main(["synth", "--config", config_path, "--out", str(edf_dir)]) == 0
+        sidecar = edf_dir / "synth001.labels"
+        sidecar.write_bytes(b"W\n1\n\xff\n" + sidecar.read_bytes()[6:])
+        path = write_config(tmp_path, CONFIG.replace("source = synth",
+                                                     f"source = edf\npath = {edf_dir}"))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"{sidecar}: label sidecar line 3 is not ASCII (offset 4)" in capsys.readouterr().err
+
     def test_seed_flag_changes_run(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -289,6 +310,20 @@ class TestTransfer:
         err = capsys.readouterr().err
         assert "fs must be even" in err and "(offset 8)" in err
 
+    def test_checkpoint_without_c_line_exits_two(self, config_path, tmp_path, capsys):
+        ckpt = random_checkpoint(config_path, tmp_path)
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        # cut the 'C=1' line with its length prefix and count 10 lines instead of 11
+        cut = blob.index(b"C=1") - 4
+        blob = blob[:8] + struct.pack("<I", 10) + blob[12:cut] + blob[cut + 7:]
+        with open(ckpt, "wb") as fh:
+            fh.write(blob)
+        assert main(["transfer", ckpt, "--config", config_path,
+                     "--out", str(tmp_path / "tr")]) == 2
+        assert (f"checkpoint config line 'D=8' must be a 'C=' line (offset {cut + 4})"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_resample_rate_exits_one(self, config_path, tmp_path, capsys, rate):
         edf_dir = str(tmp_path / "edf")
@@ -313,12 +348,39 @@ class TestInspectEdf:
         assert "n_signals: 1" in text
         assert "fs=10" in text
 
+    def test_lenient_warnings(self, tmp_path, capsys):
+        blob = bytearray(tal_edf(10, ["Sleep stage W", "Sleep stage R"]))
+        blob[8] = 0xFF                   # patient
+        blob[236:244] = b"2 rec   "      # n_records
+        blob[480:496] = b"100     1 uV    "  # phys_max of signals 0 and 1
+        path = tmp_path / "sloppy.edf"
+        path.write_bytes(bytes(blob))
+        assert main(["inspect-edf", str(path), "--lenient"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: field patient at offset 8: non-ASCII bytes replaced\n"
+            "warning: field n_records at offset 236: parsed '2' out of '2 rec'\n"
+            "warning: field signal 1 phys_max at offset 488: parsed '1' out of '1 uV'\n"
+        )
+
     def test_prints_annotations(self, tmp_path, capsys):
         path = tmp_path / "night.edf"
         path.write_bytes(tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"]))
         assert main(["inspect-edf", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("annotations: 3 entries\n  +0s 30s W\n  +30s 30s ?\n  +60s 30s REM\n")
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "version: '0'\n"
+            "patient: 'X'\n"
+            "recording: 'X'\n"
+            "start: 01.01.00 00.00.00\n"
+            "n_signals: 2, n_records: 3, record duration: 30.0 s\n"
+            "signal 0: 'EEG Fpz-Cz' fs=10 Hz spr=300 phys=[-100, 100] uV dig=[-32768, 32767]\n"
+            "signal 1: 'EDF Annotations' fs=1.06667 Hz spr=32 phys=[-1, 1]  dig=[-32768, 32767]\n"
+            "annotations: 3 entries\n"
+            "  +0s 30s W\n"
+            "  +30s 30s ?\n"
+            "  +60s 30s REM\n"
+        )
+        assert captured.err == ""
 
     def test_truncated_file_exits_two_with_offset(self, edf_file, tmp_path, capsys):
         with open(edf_file, "rb") as fh:

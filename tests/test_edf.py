@@ -39,11 +39,9 @@ def one_signal_header(n_records=2, spr=3, duration=1.0):
 
 def _numeric_fields():
     """{name: (offset, width)} of the numeric header fields of a one-signal file."""
-    numeric = {"header_bytes", "n_records", "record_duration_s", "n_signals", "phys_min",
-               "phys_max", "dig_min", "dig_max", "samples_per_record"}
     out, at = {}, 0
-    for name, width in (*HEADER_FIELDS, *SIGNAL_FIELDS):
-        if name in numeric:
+    for name, width, kind in (*HEADER_FIELDS, *SIGNAL_FIELDS):
+        if kind is not str:
             out[name] = (at, width)
         at += width
     return out

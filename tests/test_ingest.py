@@ -62,7 +62,7 @@ class TestEpochAndLabel:
             epoch_and_label(trace, Hypnogram([]))
 
 
-RATE_PAIRS = [(200, 100), (256, 100), (125, 100), (100, 150), (500, 100)]
+RATE_PAIRS = [(200, 100), (256, 100), (125, 100), (100, 150), (500, 100), (100, 100)]
 
 PATTERNS = {
     "runs_touch_both_ends": [1, 1, None, 2, None, None, 3, 4, 0],
@@ -89,14 +89,14 @@ class TestScoredSpanResampling:
         # short=1: one sample short of whole epochs; downsampled, the
         # resampled trace still holds the last epoch
         trace = trace_of(rng.standard_normal(len(stages) * 30 * fs - short), fs=fs)
-        full = resample(trace, target).samples
+        full = resample(trace.samples, fs, target)
         T = 30 * target
         n_full = len(full) // T
         hyp = Hypnogram([(30.0 * k, 30.0, s) for k, s in enumerate(stages)])
 
         calls = []
         monkeypatch.setattr(ingest, "resample",
-                            lambda tr, fs_out: calls.append(len(tr.samples)) or resample(tr, fs_out))
+                            lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
         records, dropped = epoch_and_label(trace, hyp, subject="s", target_fs=target)
 
         kept = [k for k in range(n_full) if stages[k] is not None]
@@ -115,10 +115,10 @@ class TestScoredSpanResampling:
         write_sidecar_edf(tmp_path / "night", fs, digital.astype(np.int16), "W\n1\n2\n3\nR\nR\n")
 
         _, traces, _ = parse_edf((tmp_path / "night.edf").read_bytes())
-        full = resample(traces[0], target).samples
+        full = resample(traces[0].samples, fs, target)
         calls = []
         monkeypatch.setattr(ingest, "resample",
-                            lambda tr, fs_out: calls.append(len(tr.samples)) or resample(tr, fs_out))
+                            lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
         store = load_edf_store(str(tmp_path), "EEG", target_fs=target)
 
         np.testing.assert_array_equal(store.labels, [0, 1, 2, 3, 4, 4])
@@ -165,53 +165,47 @@ def write_sidecar_edf(base, fs, digital, labels_text):
 
 class TestResample:
     def test_identity_rate(self, rng):
-        trace = trace_of(rng.standard_normal(1000), fs=100)
-        out = resample(trace, 100.0)
-        assert out.fs == 100.0
-        np.testing.assert_array_equal(out.samples, trace.samples)
-        assert out.samples is not trace.samples
+        x = rng.standard_normal(1000)
+        out = resample(x, 100, 100.0)
+        np.testing.assert_array_equal(out, x)
+        assert out is not x
 
     def test_125_to_100_length(self, rng):
-        trace = trace_of(rng.standard_normal(3750), fs=125)
-        out = resample(trace, 100.0)
-        assert len(out.samples) == 3000
-        assert out.fs == 100.0
+        out = resample(rng.standard_normal(3750), 125, 100.0)
+        assert len(out) == 3000
 
     def test_ceil_length(self, rng):
-        out = resample(trace_of(rng.standard_normal(101), fs=125), 100.0)
-        assert len(out.samples) == int(np.ceil(101 * 4 / 5))
+        out = resample(rng.standard_normal(101), 125, 100.0)
+        assert len(out) == int(np.ceil(101 * 4 / 5))
 
     def test_constant_preserved(self):
-        trace = trace_of(np.full(3750, 3.7), fs=125)
-        out = resample(trace, 100.0)
-        interior = out.samples[100:-100]
+        out = resample(np.full(3750, 3.7), 125, 100.0)
+        interior = out[100:-100]
         assert np.max(np.abs(interior - 3.7)) < 1e-9
 
     def test_sine_amplitude_preserved(self):
         t_in = np.arange(3750) / 125.0
-        trace = trace_of(np.sin(2 * np.pi * 5.0 * t_in), fs=125)
-        out = resample(trace, 100.0)
-        t_out = np.arange(len(out.samples)) / 100.0
+        out = resample(np.sin(2 * np.pi * 5.0 * t_in), 125, 100.0)
+        t_out = np.arange(len(out)) / 100.0
         expected = np.sin(2 * np.pi * 5.0 * t_out)
         interior = slice(200, -200)
-        assert np.max(np.abs(out.samples[interior] - expected[interior])) < 0.01
+        assert np.max(np.abs(out[interior] - expected[interior])) < 0.01
 
     def test_upsampling_too(self):
         t_in = np.arange(3000) / 100.0
-        trace = trace_of(np.sin(2 * np.pi * 5.0 * t_in), fs=100)
-        out = resample(trace, 125.0)
-        assert len(out.samples) == 3750
+        out = resample(np.sin(2 * np.pi * 5.0 * t_in), 100, 125.0)
+        assert len(out) == 3750
         t_out = np.arange(3750) / 125.0
         expected = np.sin(2 * np.pi * 5.0 * t_out)
-        assert np.max(np.abs(out.samples[200:-200] - expected[200:-200])) < 0.01
+        assert np.max(np.abs(out[200:-200] - expected[200:-200])) < 0.01
 
     def test_steep_ratio_rejected(self, rng):
         with pytest.raises(ConfigError):
-            resample(trace_of(rng.standard_normal(100), fs=100), 101.0)
+            resample(rng.standard_normal(100), 100, 101.0)
 
     def test_irrational_ratio_rejected(self, rng):
         with pytest.raises(ConfigError):
-            resample(trace_of(rng.standard_normal(100), fs=100), 100.0 * np.sqrt(2))
+            resample(rng.standard_normal(100), 100, 100.0 * np.sqrt(2))
 
 
 class TestLabelSidecar:

@@ -246,6 +246,29 @@ class TestTrain:
         _, summary2 = train(store, toy_train_config(seed=1), toy_model_config())
         assert summary1.history != summary2.history
 
+    @staticmethod
+    def short_validation_store():
+        """Two 25-epoch subjects and 'short', one epoch against S = 2, which
+        seed 4 sends to validation."""
+        long = toy_store(subjects=2)
+        records = [(s, long.signals[i], int(long.labels[i]))
+                   for s in long.subjects for i in long.subject_records(s)]
+        return EpochStore(records + [("short", long.signals[0], 0)])
+
+    def test_validation_without_full_window_fails_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(sst.training, "train_step", lambda *args: steps.append(args[-1]))
+        with pytest.raises(DataError, match="validation store has no subject with 2 consecutive"):
+            train(self.short_validation_store(), toy_train_config(seed=4), toy_model_config())
+        assert steps == []
+
+    def test_short_validation_store_trains_when_never_validated(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(sst.training, "train_step", lambda *args: steps.append(args[-1]))
+        cfg = toy_train_config(seed=4, max_steps=3, validate_every=4)
+        _, summary = train(self.short_validation_store(), cfg, toy_model_config())
+        assert steps == [1, 2, 3] and summary.history == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_non_finite_loss(self, rng):
         records = []

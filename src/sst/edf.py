@@ -50,6 +50,9 @@ _NUMERIC = {
     float: ("a number", re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")),
 }
 
+# lenient mode reads a non-ASCII header byte as '?', keeping the field ASCII and its width
+_TO_ASCII = bytes(range(128)) + b"?" * 128
+
 # EDF+ label of the signal that carries TAL annotations
 ANNOTATION_LABEL = "EDF Annotations"
 
@@ -127,7 +130,7 @@ class _Cursor:
         except UnicodeDecodeError:
             if self.strict:
                 raise ParseError(f"field {name} is not ASCII", offset=at) from None
-            text = raw.decode("ascii", errors="replace").strip()
+            text = raw.translate(_TO_ASCII).decode("ascii").strip()
             self.warnings.append(f"field {name} at offset {at}: non-ASCII bytes replaced")
         if kind is str:
             return text, at

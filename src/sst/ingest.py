@@ -85,10 +85,9 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> E
                 raise DataError(
                     f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}"
                 )
-            subject_records, dropped = epoch_and_label(trace, hyp, subject=subject,
-                                                       target_fs=target_fs)
+            kept, dropped = epoch_and_label(trace, hyp, subject=subject, target_fs=target_fs)
             total_dropped += dropped
-            records.extend(subject_records)
+            records.extend(kept)
     if total_dropped:
         print(f"dropped {total_dropped} epochs without a fully covering stage", file=sys.stderr)
     return EpochStore(records)
@@ -298,10 +297,8 @@ def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:
     """Write each subject of a single-channel store as '<subject>.edf' plus a
     '<subject>.labels' sidecar, one record per second."""
     os.makedirs(out_dir, exist_ok=True)
-    for subject in store.subjects:
-        ids = store.subject_records(subject)
-        samples = np.concatenate([store.signals[i].reshape(-1) for i in ids])
-        labels = [int(store.labels[i]) for i in ids]
+    for subject, first, end in store.spans():
+        samples = store.signals[first:end].reshape(-1)
         # integer span keeps the physical-range fields inside 8 ASCII chars
         span = float(np.ceil(np.max(np.abs(samples)) + 0.5))
         sig = EdfSignalHeader(
@@ -321,4 +318,4 @@ def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:
         with open(base + ".edf", "wb") as fh:
             fh.write(write_edf(header, [digital]))
         with open(base + ".labels", "w", encoding="ascii") as fh:
-            fh.write(labels_to_text(labels))
+            fh.write(labels_to_text(store.labels[first:end]))

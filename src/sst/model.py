@@ -9,6 +9,7 @@ self-attention stack over the epoch sequence feeds the classification head.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,24 +29,26 @@ class ModelConfig:
     D: int = 64                # feature dimension
     N: int = 16                # feature tokens after pooling+concat (class token excluded)
     A: int = 8                 # attention heads
-    head_dim: int = 8
+    head_dim: int | None = None   # D // A; a value given must equal it
     d: int = 3                 # encoder depth of both stacks
     ffn_dim: int = 128
 
     def __post_init__(self):
         positive = {
             "fs": self.fs, "S": self.S, "D": self.D, "N": self.N,
-            "A": self.A, "head_dim": self.head_dim, "ffn_dim": self.ffn_dim,
+            "A": self.A, "ffn_dim": self.ffn_dim,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"model config: {name} must be positive, got {value}")
         if self.d < 0:
             raise ConfigError(f"model config: d must be >= 0, got {self.d}")
-        if self.A * self.head_dim != self.D:
-            raise ConfigError(
-                f"model config: A*head_dim must equal D ({self.A}*{self.head_dim} != {self.D})"
-            )
+        if self.D % self.A != 0:
+            raise ConfigError(f"model config: D must be a multiple of A, got D={self.D}, A={self.A}")
+        if self.head_dim is None:
+            self.head_dim = self.D // self.A
+        elif self.head_dim != self.D // self.A:
+            raise ConfigError(f"[model] head_dim = {self.head_dim} must equal D/A = {self.D // self.A}")
         if self.N % 2 != 0:
             raise ConfigError(f"model config: N must be even (split across two CNN paths), got {self.N}")
         if self.fs % 2 != 0:
@@ -128,9 +131,8 @@ class ModelParams:
         ]
         for stack_name, stack in (("ete", self.ete), ("se", self.se)):
             for i, blk in enumerate(stack):
-                for fname in ("wq", "wk", "wv", "wm", "ln1_gain", "ln1_bias",
-                              "we1", "we2", "ln2_gain", "ln2_bias"):
-                    out.append((f"{stack_name}.{i}.{fname}", getattr(blk, fname)))
+                for f in dataclasses.fields(blk):
+                    out.append((f"{stack_name}.{i}.{f.name}", getattr(blk, f.name)))
         out.append(("w_mlp", self.w_mlp))
         return out
 

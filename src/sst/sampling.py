@@ -15,18 +15,20 @@ SAMPLING_MODES = ("none", "easy", "easy+difficult")
 
 
 class EpochStore:
-    """Immutable pool of labeled 30-second epochs, grouped by subject.
+    """Immutable pool of labeled 30-second epochs, one run of record ids per subject.
 
     records is a flat list of (subject, signal (1, T) finite float array,
-    label in 0..N_CLASSES-1); temporal order within each subject is the order
-    of appearance. Window indexes are built lazily per requested sequence length.
+    label in 0..N_CLASSES-1). A record's id is its index in the list. A
+    subject's records are consecutive and in temporal order, so each subject
+    owns one run of ids (see spans), and a window of S epochs is named by its
+    first id. Window indexes are built lazily per requested sequence length.
     """
 
     def __init__(self, records):
         if not records:
             raise DataError("epoch store needs at least one record")
         self.subjects: list = []
-        self._by_subject: dict = {}
+        bounds = []
         shape = None
         signals = []
         labels = []
@@ -44,15 +46,20 @@ class EpochStore:
                 raise DataError(f"record {i}: signal has non-finite values")
             if not 0 <= int(label) < N_CLASSES:
                 raise DataError(f"record {i}: label {label} outside 0..{N_CLASSES - 1}")
-            if subject not in self._by_subject:
-                self._by_subject[subject] = []
+            if not self.subjects or subject != self.subjects[-1]:
+                if subject in self.subjects:
+                    raise DataError(
+                        f"record {i}: subject {subject!r} reappears after {self.subjects[-1]!r}; "
+                        "a subject's records must be consecutive"
+                    )
                 self.subjects.append(subject)
-            self._by_subject[subject].append(i)
+                bounds.append(i)
             signals.append(signal)
             labels.append(int(label))
         self.signals = np.stack(signals)           # (n, 1, T)
         self.labels = np.array(labels, dtype=np.int64)
         self.signal_shape = shape
+        self._bounds = bounds + [len(labels)]
         self._window_cache: dict = {}
         self._sequence_cache: dict = {}
         self._epochs_by_class = [np.flatnonzero(self.labels == c) for c in range(N_CLASSES)]
@@ -60,34 +67,31 @@ class EpochStore:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subject_records(self, subject) -> list[int]:
-        return self._by_subject[subject]
+    def spans(self) -> list[tuple]:
+        """(subject, first id, end id) per subject, in store order."""
+        return list(zip(self.subjects, self._bounds[:-1], self._bounds[1:]))
 
-    def window_ids(self, subject, start: int, S: int) -> list[int]:
-        return self._by_subject[subject][start : start + S]
+    def window_starts(self, S: int, step: int = 1) -> np.ndarray:
+        """First ids of the length-S windows inside one subject, every step-th
+        from each subject's first record, in store order."""
+        return np.concatenate([np.arange(first, end - S + 1, step)
+                               for _, first, end in self.spans()])
 
-    def windows_by_class(self, S: int) -> list[list[tuple]]:
-        """Per-class lists of (subject, start) whose center epoch has that class."""
+    def windows_by_class(self, S: int) -> list[list[int]]:
+        """Per-class lists of window start ids whose center epoch has that class."""
         if S not in self._window_cache:
-            center = S // 2
-            per_class = [[] for _ in range(N_CLASSES)]
-            for subject in self.subjects:
-                ids = self._by_subject[subject]
-                for start in range(len(ids) - S + 1):
-                    label = self.labels[ids[start + center]]
-                    per_class[label].append((subject, start))
-            self._window_cache[S] = per_class
+            starts = self.window_starts(S)
+            centers = self.labels[starts + S // 2]
+            self._window_cache[S] = [starts[centers == c].tolist() for c in range(N_CLASSES)]
         return self._window_cache[S]
 
     def windows_by_sequence(self, S: int) -> dict:
-        """Exact label-sequence lookup: tuple of S labels -> [(subject, start)]."""
+        """Exact label-sequence lookup: tuple of S labels -> [window start id]."""
         if S not in self._sequence_cache:
+            labels = self.labels.tolist()
             table: dict = {}
-            for subject in self.subjects:
-                ids = self._by_subject[subject]
-                seq = tuple(self.labels[ids])
-                for start in range(len(ids) - S + 1):
-                    table.setdefault(seq[start : start + S], []).append((subject, start))
+            for start in self.window_starts(S).tolist():
+                table.setdefault(tuple(labels[start : start + S]), []).append(start)
             self._sequence_cache[S] = table
         return self._sequence_cache[S]
 
@@ -97,60 +101,54 @@ class EpochStore:
 
 @dataclass
 class SamplingMemory:
-    """Companion reuse memory: the companion ids (B lists of S record ids) of
-    the batch behind the best (easy) and the worst (difficult) validation
-    loss so far, and those two losses."""
+    """Companion reuse memory: the (B, S) companion ids of the batch behind
+    the best (easy) and the worst (difficult) validation loss so far, and
+    those two losses."""
 
-    easy: list | None = None
-    difficult: list | None = None
+    easy: np.ndarray | None = None
+    difficult: np.ndarray | None = None
     best: float = float("inf")
     worst: float = float("-inf")
 
 
 @dataclass
 class PairBatch:
-    X: Tensor               # (B, S, 1, T)
-    Xp: Tensor              # (B, S, 1, T)
-    Y: np.ndarray           # (B, S) int labels
-    provenance: str         # random | easy | difficult
-    companion_ids: list     # B lists of S record ids backing Xp
+    X: Tensor                   # (B, S, 1, T)
+    Xp: Tensor                  # (B, S, 1, T)
+    Y: np.ndarray               # (B, S) int labels
+    provenance: str             # random | easy | difficult
+    companion_ids: np.ndarray   # (B, S) record ids backing Xp
 
 
-def balanced_anchor_indices(store: EpochStore, B: int, S: int, rng: np.random.Generator) -> list[tuple]:
-    """B windows, each drawn by first picking the center-epoch class uniformly."""
+def balanced_anchor_indices(store: EpochStore, B: int, S: int, rng: np.random.Generator) -> np.ndarray:
+    """Start ids of B windows, each drawn by first picking the center-epoch class uniformly."""
     per_class = store.windows_by_class(S)
     for c, windows in enumerate(per_class):
         if not windows:
             raise DataError(
                 f"no length-{S} window centered on class {STAGE_NAMES[c]}; cannot balance"
             )
-    out = []
-    for c in rng.integers(0, N_CLASSES, size=B):
-        windows = per_class[c]
-        out.append(windows[rng.integers(0, len(windows))])
-    return out
+    return np.array([per_class[c][rng.integers(0, len(per_class[c]))]
+                     for c in rng.integers(0, N_CLASSES, size=B)], dtype=np.int64)
 
 
-def match_companion(store: EpochStore, Y: np.ndarray, rng: np.random.Generator) -> list[list[int]]:
-    """Per sequence: a stored window with the exact label sequence when one
-    exists, otherwise a per-epoch assembly from class-matched epochs."""
+def match_companion(store: EpochStore, Y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(B, S) record ids, per sequence: a stored window with the exact label
+    sequence when one exists, otherwise a per-epoch assembly from
+    class-matched epochs."""
     Y = np.asarray(Y)
     table = store.windows_by_sequence(Y.shape[1])
-    out = []
-    for row in Y:
-        key = tuple(int(v) for v in row)
-        hits = table.get(key)
+    out = np.empty(Y.shape, dtype=np.int64)
+    for row, labels in zip(out, Y.tolist()):
+        hits = table.get(tuple(labels))
         if hits:
-            subject, start = hits[rng.integers(0, len(hits))]
-            out.append(store.window_ids(subject, start, Y.shape[1]))
-        else:
-            ids = []
-            for label in key:
-                pool = store.epochs_of_class(label)
-                if pool.size == 0:
-                    raise DataError(f"store has no epochs of class {STAGE_NAMES[label]}")
-                ids.append(int(pool[rng.integers(0, pool.size)]))
-            out.append(ids)
+            row[:] = hits[rng.integers(0, len(hits))] + np.arange(len(labels))
+            continue
+        for s, label in enumerate(labels):
+            pool = store.epochs_of_class(label)
+            if pool.size == 0:
+                raise DataError(f"store has no epochs of class {STAGE_NAMES[label]}")
+            row[s] = pool[rng.integers(0, pool.size)]
     return out
 
 
@@ -176,16 +174,14 @@ def draw_pair_batch(
             companion_ids, provenance = memory.difficult, "difficult"
 
     if companion_ids is None:
-        anchors = balanced_anchor_indices(store, B, S, rng)
-        anchor_ids = [store.window_ids(subject, start, S) for subject, start in anchors]
-        Y = store.labels[np.asarray(anchor_ids)]
+        anchor_ids = balanced_anchor_indices(store, B, S, rng)[:, None] + np.arange(S)
+        Y = store.labels[anchor_ids]
         companion_ids = match_companion(store, Y, rng)
     else:
-        Y = store.labels[np.asarray(companion_ids)]
+        Y = store.labels[companion_ids]
         anchor_ids = match_companion(store, Y, rng)
-    return PairBatch(X=Tensor(store.signals[np.asarray(anchor_ids)]),
-                     Xp=Tensor(store.signals[np.asarray(companion_ids)]), Y=Y,
-                     provenance=provenance, companion_ids=companion_ids)
+    return PairBatch(X=Tensor(store.signals[anchor_ids]), Xp=Tensor(store.signals[companion_ids]),
+                     Y=Y, provenance=provenance, companion_ids=companion_ids)
 
 
 def update_memory(memory: SamplingMemory, batch: PairBatch, val_loss: float) -> None:

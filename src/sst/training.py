@@ -87,41 +87,36 @@ class RunSummary:
 
 def split_subjects(store: EpochStore, val_fraction: float, rng: np.random.Generator):
     """Partition subjects (not epochs) into train and validation stores."""
-    subjects = list(store.subjects)
-    if len(subjects) < 2:
-        raise DataError(f"need at least 2 subjects to split, store has {len(subjects)}")
-    order = rng.permutation(len(subjects))
-    n_val = max(1, int(round(val_fraction * len(subjects))))
-    if n_val >= len(subjects):
-        n_val = len(subjects) - 1
-    val_set = {subjects[i] for i in order[:n_val]}
+    spans = store.spans()
+    if len(spans) < 2:
+        raise DataError(f"need at least 2 subjects to split, store has {len(spans)}")
+    order = rng.permutation(len(spans))
+    n_val = max(1, int(round(val_fraction * len(spans))))
+    if n_val >= len(spans):
+        n_val = len(spans) - 1
+    val_set = set(order[:n_val].tolist())
 
     def records_for(keep):
         return [
             (subject, store.signals[i], int(store.labels[i]))
-            for subject in subjects
-            if (subject in val_set) == keep
-            for i in store.subject_records(subject)
+            for k, (subject, first, end) in enumerate(spans)
+            if (k in val_set) == keep
+            for i in range(first, end)
         ]
 
     return EpochStore(records_for(False)), EpochStore(records_for(True))
 
 
-def sequential_windows(store: EpochStore, S: int) -> list[list[int]]:
-    """Non-overlapping stride-S windows per subject, in store order."""
-    out = []
-    for subject in store.subjects:
-        ids = store.subject_records(subject)
-        for start in range(0, len(ids) - S + 1, S):
-            out.append(ids[start : start + S])
-    return out
+def sequential_windows(store: EpochStore, S: int) -> np.ndarray:
+    """(W, S) record ids of the non-overlapping stride-S windows per subject, in store order."""
+    return store.window_starts(S, S)[:, None] + np.arange(S)
 
 
-def _full_windows(store: EpochStore, S: int, role: str) -> list[list[int]]:
+def _full_windows(store: EpochStore, S: int, role: str) -> np.ndarray:
     """sequential_windows(store, S); a DataError naming the store's role
     when no subject holds S consecutive epochs."""
     windows = sequential_windows(store, S)
-    if not windows:
+    if not len(windows):
         raise DataError(f"{role} store has no subject with {S} consecutive epochs")
     return windows
 
@@ -129,22 +124,19 @@ def _full_windows(store: EpochStore, S: int, role: str) -> list[list[int]]:
 def _infer_batches(params, store, windows, model_cfg, batch_size, loss_cfg):
     """Inference with X' := X over fixed windows. Returns (mean loss, report)."""
     loss_sum = 0.0
-    n_windows = 0
     trues, preds = [], []
     with ad.no_grad():
         for at in range(0, len(windows), batch_size):
-            chunk = windows[at : at + batch_size]
-            ids = np.asarray(chunk)
+            ids = windows[at : at + batch_size]
             X = ad.Tensor(store.signals[ids])
             Y = store.labels[ids]
             trace = sst_forward(X, X, params, model_cfg)
             breakdown = total_loss(trace, trace, Y, loss_cfg)
-            loss_sum += breakdown.total.item() * len(chunk)
-            n_windows += len(chunk)
+            loss_sum += breakdown.total.item() * len(ids)
             trues.append(Y.reshape(-1))
             preds.append(np.argmax(trace.z.data, axis=-1).reshape(-1))
     report = evaluate_metrics(np.concatenate(trues), np.concatenate(preds))
-    return loss_sum / n_windows, report
+    return loss_sum / len(windows), report
 
 
 def validate(params: ModelParams, store_val: EpochStore, cfg: TrainConfig,
@@ -215,6 +207,8 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
         if step % cfg.validate_every == 0:
             # looked up per call, so a patched or traced sst.training.validate runs here
             val_loss, report = validate(params, store_val, cfg, model_cfg)
+            if not math.isfinite(val_loss):
+                raise NumericalError(f"non-finite validation loss at step {step}")
             update_memory(memory, batch, val_loss)
             history.append({
                 "step": step,

@@ -56,6 +56,14 @@ class TestRoundTrip:
         assert lines == ["fs=10", "S=4", "C=1", "D=16", "N=4", "A=4", "head_dim=4", "d=1",
                          "ffn_dim=32", "n_classes=5", "T=300"]
 
+    def test_derived_head_dim_keeps_its_line(self, tmp_path):
+        stated, derived = str(tmp_path / "stated.ckpt"), str(tmp_path / "derived.ckpt")
+        save_checkpoint(stated, small_params())
+        cfg = ModelConfig(fs=10, S=4, D=16, N=4, A=4, d=1, ffn_dim=32)
+        save_checkpoint(derived, ModelParams(cfg, np.random.default_rng(0)))
+        with open(stated, "rb") as a, open(derived, "rb") as b:
+            assert a.read() == b.read()
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

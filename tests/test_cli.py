@@ -4,10 +4,13 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sst.cli
 from sst.checkpoint import save_checkpoint
 from sst.cli import main
 from sst.config import load_run_config
@@ -128,6 +131,13 @@ class TestTrain:
         path = write_config(tmp_path, with_line(section, key, "300" if key == "T" else "5"))
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_seen_at_validation_exits_three(self, tmp_path, capsys):
+        text = with_line("train", "lr", "1e200").replace("validate_every = 3", "validate_every = 1")
+        path = write_config(tmp_path, text)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert "non-finite validation loss at step 1" in capsys.readouterr().err
 
     def test_negative_noise_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, with_line("data", "noise_sd", "-5"))
@@ -361,6 +371,18 @@ class TestInspectEdf:
             "warning: field n_records at offset 236: parsed '2' out of '2 rec'\n"
             "warning: field signal 1 phys_max at offset 488: parsed '1' out of '1 uV'\n"
         )
+
+    def test_lenient_output_encodes_as_ascii(self, tmp_path):
+        blob = bytearray(tal_edf(10, ["Sleep stage W"]))
+        blob[8] = 0xFF                   # patient
+        path = tmp_path / "sloppy.edf"
+        path.write_bytes(bytes(blob))
+        src = os.path.dirname(os.path.dirname(sst.cli.__file__))
+        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-m", "sst.cli", "inspect-edf", str(path), "--lenient"],
+                             env=env, capture_output=True, text=True, encoding="ascii")
+        assert run.returncode == 0, run.stderr
+        assert "patient: '?'\n" in run.stdout
 
     def test_prints_annotations(self, tmp_path, capsys):
         path = tmp_path / "night.edf"

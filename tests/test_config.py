@@ -145,6 +145,11 @@ def test_model_validation_still_applies(tmp_path):
         load_run_config(write(tmp_path, bad))
 
 
+def test_head_dim_taken_from_d_over_a(tmp_path):
+    run = load_run_config(write(tmp_path, GOOD.replace("head_dim = 4\n", "")))
+    assert run.model.head_dim == 4
+
+
 def test_sampling_mode_string_key(tmp_path):
     text = GOOD + "sampling_mode = easy\n"
     run = load_run_config(write(tmp_path, text))

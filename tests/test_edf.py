@@ -247,6 +247,15 @@ class TestParseErrors:
         _, _, warnings = parse_edf(bytes(blob), strict=False)
         assert any("patient" in w for w in warnings)
 
+    def test_lenient_field_stays_ascii_and_writable(self):
+        blob = bytearray(self.blob())
+        blob[8] = 0xFF    # first byte of patient "X F X X"
+        blob[10] = 0x80
+        header, traces, _ = parse_edf(bytes(blob), strict=False)
+        assert header.patient == "? ? X X"
+        blob[8] = blob[10] = ord("?")
+        assert write_edf(header, [trace.digital for trace in traces]) == bytes(blob)
+
 
 class TestTal:
     def test_documented_fixture(self):

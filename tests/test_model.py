@@ -1,6 +1,8 @@
 """Architecture tests: shapes, the positional encoding, attention behavior,
 the Siamese weight sharing, and gradient checks through an encoder block."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,19 @@ class TestModelConfig:
     def test_head_split_must_cover_d(self):
         with pytest.raises(ConfigError):
             toy_config(A=3)
+
+    def test_head_dim_derived(self):
+        assert toy_config(head_dim=None).head_dim == 4
+        assert ModelConfig().head_dim == 8
+        assert ModelConfig(D=48, A=8).head_dim == 6
+
+    def test_head_dim_must_equal_d_over_a(self):
+        with pytest.raises(ConfigError, match=re.escape("[model] head_dim = 8 must equal D/A = 4")):
+            toy_config(head_dim=8)
+
+    def test_d_must_split_across_heads(self):
+        with pytest.raises(ConfigError, match="D must be a multiple of A, got D=16, A=3"):
+            toy_config(A=3, head_dim=None)
 
     def test_odd_token_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -29,6 +29,19 @@ def make_store(rng, subjects=3, per_subject=30, T=8):
     return EpochStore(records)
 
 
+def uneven_store(rng):
+    """Subjects of 2, 7, 1 and 5 epochs, labels cycling through every class."""
+    records = []
+    for k, n in enumerate((2, 7, 1, 5)):
+        records += [(f"s{k}", rng.standard_normal((1, 8)), (i + k) % 5) for i in range(n)]
+    return EpochStore(records)
+
+
+def in_one_span(store, ids):
+    return any(first <= ids[0] and ids[-1] < end and np.all(np.diff(ids) == 1)
+               for _, first, end in store.spans())
+
+
 def label_lookup(store):
     return {store.signals[i].tobytes(): int(store.labels[i]) for i in range(len(store))}
 
@@ -61,7 +74,7 @@ class TestEpochStore:
     def test_windows_by_class_centers(self, rng):
         store = EpochStore([("a", rng.standard_normal((1, 4)), c) for c in (0, 1, 2)])
         windows = store.windows_by_class(3)
-        assert windows[1] == [("a", 0)]
+        assert windows[1] == [0]
         assert windows[0] == [] and windows[2] == []
         singles = store.windows_by_class(1)
         assert [len(w) for w in singles] == [1, 1, 1, 0, 0]
@@ -77,24 +90,40 @@ class TestEpochStore:
     def test_sequence_index(self, rng):
         store = EpochStore([("a", rng.standard_normal((1, 4)), c) for c in (0, 1, 2, 1, 2)])
         table = store.windows_by_sequence(3)
-        assert ("a", 0) in table[(0, 1, 2)]
-        assert ("a", 2) in table[(2, 1, 2)]
+        assert 0 in table[(0, 1, 2)]
+        assert 2 in table[(2, 1, 2)]
+
+    def test_subject_reappearing_names_record(self, rng):
+        records = [(subject, rng.standard_normal((1, 4)), 0) for subject in "aaba"]
+        with pytest.raises(DataError, match="record 3: subject 'a' reappears after 'b'"):
+            EpochStore(records)
+
+    def test_spans_bound_each_subject(self, rng):
+        records = [(subject, rng.standard_normal((1, 4)), 0) for subject in "aaabcc"]
+        assert EpochStore(records).spans() == [("a", 0, 3), ("b", 3, 4), ("c", 4, 6)]
+
+    def test_windows_stay_inside_one_span(self, rng):
+        store = uneven_store(rng)
+        for S in (1, 2, 3, 5):
+            starts = [w for per_class in store.windows_by_class(S) for w in per_class]
+            starts += [w for hits in store.windows_by_sequence(S).values() for w in hits]
+            assert starts
+            for start in starts:
+                assert in_one_span(store, start + np.arange(S))
 
 
 class TestBalancedAnchors:
     def test_s1_center_is_epoch(self, rng):
         store = make_store(rng)
         anchors = balanced_anchor_indices(store, 50, 1, rng)
-        for subject, start in anchors:
-            assert 0 <= start < len(store.subject_records(subject))
+        assert anchors.shape == (50,)
+        assert ((0 <= anchors) & (anchors < len(store))).all()
 
     def test_class_frequencies_near_uniform(self, rng):
         store = make_store(rng, subjects=2, per_subject=25)
         counts = np.zeros(5)
         anchors = balanced_anchor_indices(store, 20000, 3, rng)
-        for subject, start in anchors:
-            ids = store.window_ids(subject, start, 3)
-            counts[store.labels[ids[1]]] += 1
+        np.add.at(counts, store.labels[anchors + 1], 1)
         np.testing.assert_allclose(counts / counts.sum(), 0.2, atol=0.02)
 
     def test_missing_class_named(self, rng):
@@ -108,7 +137,7 @@ class TestBalancedAnchors:
         records = [("only", rng.standard_normal((1, 4)), c) for c in range(5)] * 3
         store = EpochStore(records)
         anchors = balanced_anchor_indices(store, 30, 1, rng)
-        assert all(subject == "only" for subject, _ in anchors)
+        assert ((0 <= anchors) & (anchors < 15)).all()
 
 
 class TestMatchCompanion:
@@ -119,7 +148,7 @@ class TestMatchCompanion:
             assert len(row) == 4
             assert all(store.labels[i] == 0 for i in row)
             # exact window: consecutive record ids
-            assert row == list(range(row[0], row[0] + 4))
+            assert row.tolist() == list(range(row[0], row[0] + 4))
 
     def test_fallback_assembles_per_epoch(self, rng):
         # every subject label sequence cycles, so (0,0) never occurs as a window
@@ -132,10 +161,9 @@ class TestMatchCompanion:
         store = make_store(rng)
         for _ in range(200):
             anchors = balanced_anchor_indices(store, 3, 4, rng)
-            Y = np.stack([store.labels[store.window_ids(s, p, 4)] for s, p in anchors])
+            Y = store.labels[anchors[:, None] + np.arange(4)]
             ids = match_companion(store, Y, rng)
-            got = np.stack([store.labels[np.asarray(row)] for row in ids])
-            np.testing.assert_array_equal(got, Y)
+            np.testing.assert_array_equal(store.labels[ids], Y)
 
     def test_absent_class_rejected(self, rng):
         store = EpochStore([("a", rng.standard_normal((1, 4)), 0)])
@@ -217,15 +245,27 @@ class TestDrawPairBatch:
             if batch.provenance == "random":
                 continue
             saw_reuse = True
-            assert batch.companion_ids == stored.companion_ids
+            assert batch.companion_ids is stored.companion_ids
             np.testing.assert_array_equal(batch.Xp.data, stored.Xp.data)
-            np.testing.assert_array_equal(
-                batch.Y, np.stack([store.labels[np.asarray(r)] for r in stored.companion_ids])
-            )
+            np.testing.assert_array_equal(batch.Y, store.labels[stored.companion_ids])
             for b in range(2):
                 for s in range(3):
                     assert lookup[batch.X.data[b, s].tobytes()] == batch.Y[b, s]
         assert saw_reuse
+
+    def test_ids_stay_inside_one_span(self, rng):
+        # every label pair drawn here is some stored window's, so no companion
+        # falls back to a per-epoch assembly
+        store = uneven_store(rng)
+        id_of = {store.signals[i].tobytes(): i for i in range(len(store))}
+        memory = SamplingMemory()
+        for i in range(60):
+            batch = draw_pair_batch(store, memory, 4, 2, rng, p0=0.3, mode="easy+difficult")
+            update_memory(memory, batch, float(i % 7))
+            assert batch.companion_ids.shape == (4, 2)
+            for b in range(4):
+                assert in_one_span(store, batch.companion_ids[b])
+                assert in_one_span(store, [id_of[x.tobytes()] for x in batch.X.data[b]])
 
     def test_seeded_determinism(self, rng):
         store = make_store(rng)
@@ -250,7 +290,7 @@ class TestSamplingMemory:
         memory = SamplingMemory()
         batch = draw_pair_batch(store, memory, 2, 3, rng, **DRAW)
         update_memory(memory, batch, 1.5)
-        assert memory.easy == memory.difficult == batch.companion_ids
+        assert memory.easy is memory.difficult is batch.companion_ids
         assert memory.best == memory.worst == 1.5
 
     def test_watermark_trace(self, rng):
@@ -261,9 +301,9 @@ class TestSamplingMemory:
         update_memory(memory, batches[1], 0.5)
         update_memory(memory, batches[2], 2.0)
         assert memory.best == 0.5
-        assert memory.easy == batches[1].companion_ids
+        assert memory.easy is batches[1].companion_ids
         assert memory.worst == 2.0
-        assert memory.difficult == batches[2].companion_ids
+        assert memory.difficult is batches[2].companion_ids
 
     def test_ties_keep_incumbent(self, rng):
         store = make_store(rng)

@@ -109,18 +109,26 @@ class TestSequentialWindows:
     def test_stride_equals_length(self):
         store = toy_store(subjects=2, epochs=7)
         windows = sequential_windows(store, 3)
-        assert len(windows) == 4  # floor(7/3) per subject
-        flat = [i for w in windows for i in w]
-        assert len(flat) == len(set(flat))
+        assert windows.shape == (4, 3)  # floor(7/3) per subject
+        assert len(set(windows.ravel().tolist())) == windows.size
         for w in windows:
-            subjects = {s for s in store.subjects if set(w) <= set(store.subject_records(s))}
-            assert len(subjects) == 1
+            assert sum(first <= w[0] and w[-1] < end for _, first, end in store.spans()) == 1
+            assert np.all(np.diff(w) == 1)
 
     def test_short_subject_contributes_nothing(self, rng):
         records = [("tiny", rng.standard_normal((1, 4)), 0)]
         records += [("big", rng.standard_normal((1, 4)), 1) for _ in range(4)]
         windows = sequential_windows(EpochStore(records), 2)
         assert len(windows) == 2
+
+    def test_windows_never_cross_a_span(self, rng):
+        records = []
+        for k, n in enumerate((5, 1, 4, 3)):
+            records += [(f"s{k}", rng.standard_normal((1, 4)), 0) for _ in range(n)]
+        store = EpochStore(records)
+        assert sequential_windows(store, 2).tolist() == [[0, 1], [2, 3], [6, 7], [8, 9], [10, 11]]
+        assert sequential_windows(store, 3).tolist() == [[0, 1, 2], [6, 7, 8], [10, 11, 12]]
+        assert sequential_windows(store, 6).shape == (0, 6)
 
 
 class TestValidate:
@@ -252,7 +260,7 @@ class TestTrain:
         seed 4 sends to validation."""
         long = toy_store(subjects=2)
         records = [(s, long.signals[i], int(long.labels[i]))
-                   for s in long.subjects for i in long.subject_records(s)]
+                   for s, first, end in long.spans() for i in range(first, end)]
         return EpochStore(records + [("short", long.signals[0], 0)])
 
     def test_validation_without_full_window_fails_before_any_step(self, monkeypatch):
@@ -268,6 +276,14 @@ class TestTrain:
         cfg = toy_train_config(seed=4, max_steps=3, validate_every=4)
         _, summary = train(self.short_validation_store(), cfg, toy_model_config())
         assert steps == [1, 2, 3] and summary.history == []
+
+    @pytest.mark.parametrize("loss", [np.nan, np.inf])
+    def test_aborts_on_non_finite_validation_loss(self, monkeypatch, loss):
+        real = sst.training.validate
+        monkeypatch.setattr(sst.training, "validate",
+                            lambda *args: (loss, real(*args)[1]))
+        with pytest.raises(NumericalError, match="non-finite validation loss at step 2"):
+            train(toy_store(), toy_train_config(), toy_model_config())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_non_finite_loss(self, rng):

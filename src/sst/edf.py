@@ -105,10 +105,18 @@ class EdfHeader:
 
 @dataclass
 class SignalTrace:
-    label: str
+    """One signal as the file stores it: int16 samples at fs Hz, mapped to
+    physical units only for the spans that are read."""
+
+    signal: EdfSignalHeader
     fs: float
-    samples: np.ndarray                 # physical units, float64
-    digital: np.ndarray | None = None   # raw int16, kept for exact rewrites
+    digital: np.ndarray  # int16
+
+    def physical(self, a: int, b: int) -> np.ndarray:
+        """Samples a:b in physical units, float64."""
+        sig = self.signal
+        gain = (sig.phys_max - sig.phys_min) / (sig.dig_max - sig.dig_min)
+        return (self.digital[a:b].astype(np.float64) - sig.dig_min) * gain + sig.phys_min
 
 
 class _Cursor:
@@ -247,19 +255,9 @@ def parse_edf(data: bytes, strict: bool = True):
     table = flat.reshape(n_records, per_record)
     bounds = np.concatenate([[0], np.cumsum(spr)])
 
-    traces = []
-    for i, sig in enumerate(signals):
-        digital = np.ascontiguousarray(table[:, bounds[i] : bounds[i + 1]]).reshape(-1)
-        gain = (sig.phys_max - sig.phys_min) / (sig.dig_max - sig.dig_min)
-        physical = (digital.astype(np.float64) - sig.dig_min) * gain + sig.phys_min
-        traces.append(
-            SignalTrace(
-                label=sig.label,
-                fs=sig.samples_per_record / header.record_duration_s,
-                samples=physical,
-                digital=digital,
-            )
-        )
+    traces = [SignalTrace(sig, sig.samples_per_record / record_duration_s,
+                          np.ascontiguousarray(table[:, bounds[i] : bounds[i + 1]]).reshape(-1))
+              for i, sig in enumerate(signals)]
     return header, traces, warnings
 
 
@@ -270,6 +268,8 @@ def _pack(value, width: int, name: str) -> bytes:
             text = text[:-2]
     else:
         text = str(value)
+    if not text.isascii():
+        raise DataError(f"EDF field {name} value {text!r} is not ASCII")
     raw = text.encode("ascii")
     if len(raw) > width:
         raise DataError(f"EDF field {name} value {text!r} exceeds {width} ASCII bytes")
@@ -404,6 +404,6 @@ def parse_tal_annotations(data: bytes) -> Hypnogram:
 def annotation_hypnogram(traces: list[SignalTrace]) -> Hypnogram | None:
     """The hypnogram in the first EDF+ annotation signal, or None without one."""
     for trace in traces:
-        if ANNOTATION_LABEL.lower() in trace.label.lower():
+        if ANNOTATION_LABEL.lower() in trace.signal.label.lower():
             return parse_tal_annotations(trace.digital.tobytes())
     return None

@@ -68,24 +68,25 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> E
         with open(filename, "rb") as fh:
             _, traces, _ = parse_edf(fh.read())
         trace = select_trace(traces, channel)
+        fs = trace.fs if target_fs is None else target_fs
         subject = os.path.splitext(os.path.basename(filename))[0]
 
         sidecar = os.path.splitext(filename)[0] + ".labels"
         if os.path.exists(sidecar):
             labels = _read_sidecar(sidecar)
-            T, available = _epoch_grid(trace, target_fs)
+            T, available = _epoch_grid(trace, fs)
             if len(labels) > available:
                 raise DataError(
                     f"{sidecar}: {len(labels)} labels but only {available} epochs in the signal"
                 )
-            records.extend(_epoch_records(trace, labels.tolist(), T, target_fs, subject))
+            records.extend(_epoch_records(trace, labels.tolist(), T, fs, subject))
         else:
             hyp = annotation_hypnogram(traces)
             if hyp is None:
                 raise DataError(
                     f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}"
                 )
-            kept, dropped = epoch_and_label(trace, hyp, subject=subject, target_fs=target_fs)
+            kept, dropped = epoch_and_label(trace, hyp, subject=subject, target_fs=fs)
             total_dropped += dropped
             records.extend(kept)
     if total_dropped:
@@ -113,23 +114,22 @@ def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, subject: str = "unknown"
                     target_fs: float | None = None):
     """Slice a trace into epoch records labeled by the covering stage.
 
-    With target_fs the epochs are those of resample(trace.samples, trace.fs,
-    target_fs), but only the runs of kept epochs are resampled. Returns
+    With target_fs the epochs are those of the whole trace resampled to
+    target_fs, but only the runs of kept epochs are resampled. Returns
     (records, dropped): records are (subject, (1, T) signal, label); epochs
     whose span is not fully covered by a single known stage are dropped and counted.
     """
-    T, n_epochs = _epoch_grid(trace, target_fs)
+    fs = trace.fs if target_fs is None else target_fs
+    T, n_epochs = _epoch_grid(trace, fs)
     stages = hyp.stages_for_epochs(n_epochs, EPOCH_S)
-    return _epoch_records(trace, stages, T, target_fs, subject), stages.count(None)
+    return _epoch_records(trace, stages, T, fs, subject), stages.count(None)
 
 
-def _epoch_grid(trace: SignalTrace, target_fs: float | None):
-    """(samples per epoch, whole epochs) of the trace at target_fs, or at its
-    own rate when target_fs is None, without resampling it."""
-    n, fs = len(trace.samples), trace.fs
-    if target_fs is not None:
-        L, M = _rate_ratio(trace.fs, target_fs)
-        n, fs = -(-n * L // M), float(target_fs)
+def _epoch_grid(trace: SignalTrace, fs: float):
+    """(samples per epoch, whole epochs) of the trace resampled to fs,
+    without resampling it."""
+    L, M = _rate_ratio(trace.fs, fs)
+    n = -(-len(trace.digital) * L // M)
     t_float = fs * EPOCH_S
     T = int(round(t_float))
     if abs(t_float - T) > 1e-9 or T <= 0:
@@ -139,8 +139,7 @@ def _epoch_grid(trace: SignalTrace, target_fs: float | None):
     return T, n // T
 
 
-def _epoch_records(trace: SignalTrace, stages: list, T: int, target_fs: float | None,
-                   subject: str) -> list:
+def _epoch_records(trace: SignalTrace, stages: list, T: int, fs: float, subject: str) -> list:
     """Records of the epochs whose stage is not None, resampling each maximal
     run of such epochs on its own."""
     records = []
@@ -149,18 +148,15 @@ def _epoch_records(trace: SignalTrace, stages: list, T: int, target_fs: float | 
             continue
         run = list(run)
         first = run[0][0]
-        span = _resampled_span(trace, first * T, (first + len(run)) * T, target_fs)
+        span = _resampled_span(trace, first * T, (first + len(run)) * T, fs)
         records.extend((subject, span[i * T : (i + 1) * T].reshape(1, T), stage)
                        for i, (_, stage) in enumerate(run))
     return records
 
 
-def _resampled_span(trace: SignalTrace, start: int, stop: int,
-                    target_fs: float | None) -> np.ndarray:
-    """resample(trace.samples, trace.fs, target_fs)[start:stop], resampling
-    only the input the span depends on."""
-    if target_fs is None:
-        return trace.samples[start:stop]
+def _resampled_span(trace: SignalTrace, start: int, stop: int, target_fs: float) -> np.ndarray:
+    """Samples start:stop of the whole trace in physical units resampled to
+    target_fs, converting and resampling only the input the span depends on."""
     L, M = _rate_ratio(trace.fs, target_fs)
     # Output m sits at input m*M/L and its taps reach about TAPS_PER_PHASE/2
     # input samples either way, so one filter length of margin covers them.
@@ -168,9 +164,9 @@ def _resampled_span(trace: SignalTrace, start: int, stop: int,
     # trace's output grid, a*L/M samples in, with the same taps in the same order.
     margin = _filter_length(L)
     a = max(0, (start * M // L - margin) // M * M)
-    b = min(len(trace.samples), -(-stop * M // L) + margin)
+    b = min(len(trace.digital), -(-stop * M // L) + margin)
     offset = a * L // M
-    return resample(trace.samples[a:b], trace.fs, target_fs)[start - offset : stop - offset]
+    return resample(trace.physical(a, b), trace.fs, target_fs)[start - offset : stop - offset]
 
 
 def _rate_ratio(fs: float, target_fs: float) -> tuple[int, int]:
@@ -213,9 +209,9 @@ def select_trace(traces: list[SignalTrace], label_match: str) -> SignalTrace:
     """First trace whose label contains label_match, case-insensitive."""
     needle = label_match.lower()
     for trace in traces:
-        if needle in trace.label.lower():
+        if needle in trace.signal.label.lower():
             return trace
-    available = ", ".join(repr(t.label) for t in traces)
+    available = ", ".join(repr(t.signal.label) for t in traces)
     raise DataError(f"no signal label contains {label_match!r}; available: {available}")
 
 
@@ -313,9 +309,9 @@ def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:
             header_bytes=512, reserved="", n_records=n_records,
             record_duration_s=1.0, n_signals=1, signals=[sig],
         )
-        digital = digital_from_physical(samples, sig)
+        blob = write_edf(header, [digital_from_physical(samples, sig)])
         base = os.path.join(out_dir, subject)
         with open(base + ".edf", "wb") as fh:
-            fh.write(write_edf(header, [digital]))
+            fh.write(blob)
         with open(base + ".labels", "w", encoding="ascii") as fh:
             fh.write(labels_to_text(store.labels[first:end]))

@@ -256,8 +256,7 @@ def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainCon
 
 
 def variance_experiment(store_train: EpochStore, store_test: EpochStore, cfg: TrainConfig,
-                        model_cfg: ModelConfig, n_runs: int,
-                        modes=SAMPLING_MODES, seeds=None) -> dict:
+                        model_cfg: ModelConfig, n_runs: int, seeds=None) -> dict:
     """Repeat training under each sampling mode and summarize test metrics.
 
     seeds defaults to cfg.seed + run index; passing an explicit list (for
@@ -271,7 +270,7 @@ def variance_experiment(store_train: EpochStore, store_test: EpochStore, cfg: Tr
         raise ConfigError(f"{len(seeds)} seeds for {n_runs} runs")
 
     results: dict = {}
-    for mode in modes:
+    for mode in SAMPLING_MODES:
         runs = []
         for seed in seeds:
             run_cfg = TrainConfig(**{**cfg.__dict__, "seed": seed, "sampling_mode": mode})

@@ -472,7 +472,7 @@ class TestSynth:
         with open(edfs[0], "rb") as fh:
             header, traces, _ = parse_edf(fh.read())
         assert header.n_signals == 1
-        assert len(traces[0].samples) == 30 * 30 * 10
+        assert len(traces[0].digital) == 30 * 30 * 10
         decoded = labels_from_text(labels[0].read_text())
         assert decoded.shape == (30,)
         assert set(decoded) <= {0, 1, 2, 3, 4}

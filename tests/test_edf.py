@@ -1,6 +1,7 @@
 """EDF writer/parser round trips, header validation offsets, and TAL decoding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from sst.edf import (
     EdfHeader,
     EdfSignalHeader,
     Hypnogram,
+    SignalTrace,
     annotation_hypnogram,
+    digital_from_physical,
     parse_edf,
     parse_tal_annotations,
     write_edf,
@@ -78,16 +81,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(traces[0].digital, digital[0])
         # hand-computed scalings: gain = 2/200 = 0.01, offset -1 at -100
         np.testing.assert_allclose(
-            traces[0].samples, [-1.0, 0.0, 1.0, 0.5, -0.5, 0.25], atol=1e-15
+            traces[0].physical(0, 6), [-1.0, 0.0, 1.0, 0.5, -0.5, 0.25], atol=1e-15
         )
         assert traces[0].fs == 3.0
-        assert traces[0].label == "EEG Fpz-Cz"
+        assert traces[0].signal == header.signals[0]
 
     def test_digital_min_maps_to_physical_min(self):
         header = one_signal_header(n_records=1)
         blob = write_edf(header, [np.array([-100, -100, -100], dtype=np.int16)])
         _, traces, _ = parse_edf(blob)
-        np.testing.assert_allclose(traces[0].samples, -1.0, atol=1e-15)
+        np.testing.assert_allclose(traces[0].physical(0, 3), -1.0, atol=1e-15)
 
     def test_multi_signal_interleave(self, rng):
         sig_a = EdfSignalHeader(
@@ -130,6 +133,73 @@ class TestRoundTrip:
         header = one_signal_header(n_records=2)
         with pytest.raises(DataError):
             write_edf(header, [np.zeros(5, dtype=np.int16)])
+
+    def test_writer_names_non_ascii_header_field(self):
+        header = one_signal_header()
+        header.patient = "é"
+        with pytest.raises(DataError, match="field patient value 'é' is not ASCII"):
+            write_edf(header, [np.zeros(6, dtype=np.int16)])
+
+    def test_writer_names_non_ascii_signal_field(self):
+        header = one_signal_header()
+        header.signals[0].phys_dim = "µV"
+        with pytest.raises(DataError, match="field signal 0 phys_dim value 'µV' is not ASCII"):
+            write_edf(header, [np.zeros(6, dtype=np.int16)])
+
+
+@st.composite
+def signal_headers(draw, max_abs=1e6, min_span=0.0):
+    """Signal headers with any int16 digital range and a finite physical
+    range, inverted (phys_max < phys_min) as often as not."""
+    dig_min = draw(st.integers(-32768, 32766))
+    dig_max = draw(st.integers(dig_min + 1, 32767))
+    phys = st.floats(-max_abs, max_abs)
+    phys_min = draw(phys)
+    phys_max = draw(phys.filter(lambda v: abs(v - phys_min) > min_span))
+    return EdfSignalHeader(
+        label="EEG", transducer="", phys_dim="uV", phys_min=phys_min, phys_max=phys_max,
+        dig_min=dig_min, dig_max=dig_max, prefilter="", samples_per_record=1,
+    )
+
+
+class TestSignalTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(sig=signal_headers(),
+           digital=st.lists(st.integers(-32768, 32767), max_size=40),
+           a=st.integers(0, 45), b=st.integers(0, 45))
+    @example(sig=EdfSignalHeader("EEG", "", "uV", 100.0, -100.0, -32768, 32767, "", 1),
+             digital=[-32768, 0, 32767], a=1, b=9)
+    def test_physical_slice_is_the_whole_column_sliced(self, sig, digital, a, b):
+        """physical(a, b) has the bytes of converting the whole column and
+        slicing it, for empty slices and slices past the end too."""
+        digital = np.array(digital, dtype=np.int16)
+        gain = (sig.phys_max - sig.phys_min) / (sig.dig_max - sig.dig_min)
+        whole = (digital.astype(np.float64) - sig.dig_min) * gain + sig.phys_min
+        trace = SignalTrace(sig, 1.0, digital)
+        assert trace.physical(a, b).tobytes() == whole[a:b].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(sig=signal_headers(max_abs=1e4, min_span=1e-2), data=st.data())
+    def test_digital_round_trips_through_physical(self, sig, data):
+        digital = np.array(data.draw(st.lists(st.integers(sig.dig_min, sig.dig_max),
+                                              min_size=1, max_size=40)), dtype=np.int16)
+        trace = SignalTrace(sig, 1.0, digital)
+        back = digital_from_physical(trace.physical(0, len(digital)), sig)
+        assert back.dtype == np.int16
+        np.testing.assert_array_equal(back, digital)
+
+    def test_parse_holds_no_float_copy(self):
+        """Parsing an EEG plus TAL night allocates about the file's int16
+        samples once, not a float64 copy of them."""
+        blob = tal_edf(100, ["Sleep stage W"] * 200)
+        tracemalloc.start()
+        try:
+            _, traces, _ = parse_edf(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [t.digital.dtype for t in traces] == [np.int16, np.int16]
+        assert peak <= 1.5 * len(blob)
 
 
 class TestParseErrors:
@@ -229,7 +299,7 @@ class TestParseErrors:
                 continue
             for trace in traces:
                 assert 0 < trace.fs < math.inf
-                assert np.isfinite(trace.samples).all()
+                assert np.isfinite(trace.physical(0, len(trace.digital))).all()
 
     def test_lenient_repairs_padded_numeric(self):
         blob = bytearray(self.blob())

@@ -7,8 +7,10 @@ import pytest
 from sst import ingest
 from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
 from sst.errors import ConfigError, DataError, ParseError
+from sst.sampling import EpochStore
 from sst.ingest import (
     epoch_and_label,
+    export_edf,
     labels_from_text,
     labels_to_text,
     load_edf_store,
@@ -20,13 +22,18 @@ from sst.ingest import (
 from conftest import tal_edf
 
 
-def trace_of(samples, fs, label="EEG"):
-    return SignalTrace(label=label, fs=float(fs), samples=np.asarray(samples, dtype=np.float64))
+def trace_of(rng, n, fs, label="EEG"):
+    """A trace of n int16 samples at fs Hz spanning the whole int16 range."""
+    sig = EdfSignalHeader(
+        label=label, transducer="", phys_dim="uV", phys_min=-100.0, phys_max=100.0,
+        dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=1,
+    )
+    return SignalTrace(sig, float(fs), rng.integers(-32768, 32768, size=n, dtype=np.int16))
 
 
 class TestEpochAndLabel:
     def test_all_wake(self, rng):
-        trace = trace_of(rng.standard_normal(9000), fs=100)
+        trace = trace_of(rng, 9000, fs=100)
         records, dropped = epoch_and_label(trace, Hypnogram([(0.0, 90.0, 0)]), subject="a")
         assert dropped == 0
         assert len(records) == 3
@@ -34,30 +41,30 @@ class TestEpochAndLabel:
             assert subject == "a"
             assert signal.shape == (1, 3000)
             assert label == 0
-            np.testing.assert_array_equal(signal[0], trace.samples[k * 3000 : (k + 1) * 3000])
+            assert signal[0].tobytes() == trace.physical(k * 3000, (k + 1) * 3000).tobytes()
 
     def test_straddling_epoch_dropped(self, rng):
-        trace = trace_of(rng.standard_normal(9000), fs=100)
+        trace = trace_of(rng, 9000, fs=100)
         hyp = Hypnogram([(0.0, 45.0, 0), (45.0, 45.0, 1)])
         records, dropped = epoch_and_label(trace, hyp)
         assert dropped == 1
         assert [r[2] for r in records] == [0, 1]
 
     def test_unknown_stage_dropped(self, rng):
-        trace = trace_of(rng.standard_normal(6000), fs=100)
+        trace = trace_of(rng, 6000, fs=100)
         hyp = Hypnogram([(0.0, 30.0, None), (30.0, 30.0, 2)])
         records, dropped = epoch_and_label(trace, hyp)
         assert dropped == 1
         assert [r[2] for r in records] == [2]
 
     def test_trailing_partial_epoch_ignored(self, rng):
-        trace = trace_of(rng.standard_normal(3500), fs=100)
+        trace = trace_of(rng, 3500, fs=100)
         records, dropped = epoch_and_label(trace, Hypnogram([(0.0, 60.0, 0)]))
         assert len(records) == 1
         assert dropped == 0
 
     def test_non_integer_epoch_rejected(self, rng):
-        trace = trace_of(rng.standard_normal(100), fs=0.11)
+        trace = trace_of(rng, 100, fs=0.11)
         with pytest.raises(ConfigError):
             epoch_and_label(trace, Hypnogram([]))
 
@@ -88,8 +95,9 @@ class TestScoredSpanResampling:
         rng = np.random.default_rng(fs + target + short)
         # short=1: one sample short of whole epochs; downsampled, the
         # resampled trace still holds the last epoch
-        trace = trace_of(rng.standard_normal(len(stages) * 30 * fs - short), fs=fs)
-        full = resample(trace.samples, fs, target)
+        n = len(stages) * 30 * fs - short
+        trace = trace_of(rng, n, fs=fs)
+        full = resample(trace.physical(0, n), fs, target)
         T = 30 * target
         n_full = len(full) // T
         hyp = Hypnogram([(30.0 * k, 30.0, s) for k, s in enumerate(stages)])
@@ -107,7 +115,7 @@ class TestScoredSpanResampling:
             assert signal.tobytes() == full[k * T : (k + 1) * T].reshape(1, T).tobytes()
         assert len(calls) == maximal_runs(stages[:n_full])
         if pattern != "all_kept":
-            assert sum(calls) < len(trace.samples)
+            assert sum(calls) < n
 
     @pytest.mark.parametrize("fs,target", RATE_PAIRS)
     def test_sidecar_resamples_labelled_prefix(self, fs, target, tmp_path, monkeypatch):
@@ -115,7 +123,7 @@ class TestScoredSpanResampling:
         write_sidecar_edf(tmp_path / "night", fs, digital.astype(np.int16), "W\n1\n2\n3\nR\nR\n")
 
         _, traces, _ = parse_edf((tmp_path / "night.edf").read_bytes())
-        full = resample(traces[0].samples, fs, target)
+        full = resample(traces[0].physical(0, len(digital)), fs, target)
         calls = []
         monkeypatch.setattr(ingest, "resample",
                             lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
@@ -123,7 +131,7 @@ class TestScoredSpanResampling:
 
         np.testing.assert_array_equal(store.labels, [0, 1, 2, 3, 4, 4])
         assert store.signals.tobytes() == full[: 6 * 30 * target].tobytes()
-        assert len(calls) == 1 and calls[0] < len(traces[0].samples)
+        assert len(calls) == 1 and calls[0] < len(digital)
 
     def test_sidecar_longer_than_signal_rejected(self, tmp_path):
         write_sidecar_edf(tmp_path / "a", 200, np.zeros(60 * 200, dtype=np.int16), "W\nW\nW\n")
@@ -137,8 +145,9 @@ class TestTalLabels:
         (tmp_path / "night.edf").write_bytes(blob)
         store = load_edf_store(str(tmp_path), "EEG")
         np.testing.assert_array_equal(store.labels, [0, 4])
-        samples = parse_edf(blob)[1][0].samples
-        assert store.signals.tobytes() == np.stack([samples[:300], samples[600:]]).tobytes()
+        eeg = parse_edf(blob)[1][0]
+        kept = np.stack([eeg.physical(0, 300), eeg.physical(600, 900)])
+        assert store.signals.tobytes() == kept.tobytes()
         assert "dropped 1 epochs" in capsys.readouterr().err
 
     def test_no_annotations_and_no_sidecar_rejected(self, tmp_path):
@@ -229,12 +238,12 @@ class TestLabelSidecar:
 
 class TestSelectTrace:
     def test_case_insensitive_substring(self, rng):
-        traces = [trace_of(rng.standard_normal(10), 100, label="EOG horizontal"),
-                  trace_of(rng.standard_normal(10), 100, label="EEG Fpz-Cz")]
-        assert select_trace(traces, "fpz").label == "EEG Fpz-Cz"
+        traces = [trace_of(rng, 10, 100, label="EOG horizontal"),
+                  trace_of(rng, 10, 100, label="EEG Fpz-Cz")]
+        assert select_trace(traces, "fpz") is traces[1]
 
     def test_missing_label_lists_available(self, rng):
-        traces = [trace_of(rng.standard_normal(10), 100, label="EOG horizontal")]
+        traces = [trace_of(rng, 10, 100, label="EOG horizontal")]
         with pytest.raises(DataError, match="EOG horizontal"):
             select_trace(traces, "EEG")
 
@@ -289,3 +298,11 @@ class TestSynthDataset:
             synth_dataset(1, 10, fs=10, class_freqs=[1, 2, 3, 4, 6.0])  # 6 >= Nyquist
         with pytest.raises(ConfigError):
             synth_dataset(1, 10, fs=10, class_freqs=[1, 1, 2, 3, 4])
+
+
+class TestExportEdf:
+    def test_non_ascii_subject_is_a_data_error(self, rng, tmp_path):
+        store = EpochStore([("é", rng.standard_normal((1, 300)), 0)])
+        with pytest.raises(DataError, match="field patient value 'é' is not ASCII"):
+            export_edf(store, 10, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []

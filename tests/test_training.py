@@ -385,10 +385,11 @@ class TestVarianceExperiment:
         test_store = toy_store(seed=9, subjects=2, epochs=8)
         cfg = toy_train_config()
         results = variance_experiment(store, test_store, cfg, toy_model_config(),
-                                      n_runs=2, modes=("none",), seeds=[7, 7])
-        summary = results["none"]["summary"]
-        for key in ("macro_f1", "accuracy", "kappa"):
-            assert summary[key]["sd"] == 0.0
+                                      n_runs=2, seeds=[7, 7])
+        assert set(results) == {"none", "easy", "easy+difficult"}
+        for mode_result in results.values():
+            for key in ("macro_f1", "accuracy", "kappa"):
+                assert mode_result["summary"][key]["sd"] == 0.0
 
     def test_row_per_mode(self):
         store = toy_store()

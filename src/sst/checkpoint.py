@@ -9,6 +9,7 @@ little-endian, so a save/load round trip is bit exact.
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -44,8 +45,16 @@ def save_checkpoint(path: str, params: ModelParams) -> None:
         chunks.append(struct.pack("<I", tensor.ndim))
         chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # written beside the target and renamed over it, so an interrupted save
+    # leaves the previous checkpoint whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class _Cursor:
@@ -117,17 +126,17 @@ def load_checkpoint(path: str) -> ModelParams:
         name, _ = cur.text("parameter name")
         rank = cur.u32()
         shape = struct.unpack(f"<{rank}I", cur.take(4 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
         at = cur.pos
-        data = np.frombuffer(cur.take(8 * count), dtype="<f8").reshape(shape)
+        # checked before the payload is read, so its size is the model's
         if name not in by_name:
             raise ParseError(f"checkpoint has unknown parameter {name!r}", offset=at)
-        if by_name[name].shape != tuple(shape):
+        if by_name[name].shape != shape:
             raise ParseError(
-                f"checkpoint parameter {name!r} has shape {tuple(shape)}, "
+                f"checkpoint parameter {name!r} has shape {shape}, "
                 f"model expects {by_name[name].shape}",
                 offset=at,
             )
+        data = np.frombuffer(cur.take(8 * by_name[name].data.size), dtype="<f8").reshape(shape)
         if not np.isfinite(data).all():
             raise ParseError(f"checkpoint parameter {name!r} has non-finite values", offset=at)
         by_name[name].data = data.astype(np.float64)

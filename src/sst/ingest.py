@@ -19,7 +19,6 @@ from .edf import (
     ANNOTATION_LABEL,
     EdfHeader,
     EdfSignalHeader,
-    Hypnogram,
     SignalTrace,
     annotation_hypnogram,
     digital_from_physical,
@@ -62,36 +61,37 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> E
     if not files:
         raise DataError(f"no .edf files under {path}")
 
-    records = []
-    total_dropped = 0
-    for filename in files:
-        with open(filename, "rb") as fh:
-            _, traces, _ = parse_edf(fh.read())
-        trace = select_trace(traces, channel)
-        fs = trace.fs if target_fs is None else target_fs
-        subject = os.path.splitext(os.path.basename(filename))[0]
-
-        sidecar = os.path.splitext(filename)[0] + ".labels"
-        if os.path.exists(sidecar):
-            labels = _read_sidecar(sidecar)
-            T, available = _epoch_grid(trace, fs)
-            if len(labels) > available:
-                raise DataError(
-                    f"{sidecar}: {len(labels)} labels but only {available} epochs in the signal"
-                )
-            records.extend(_epoch_records(trace, labels.tolist(), T, fs, subject))
-        else:
-            hyp = annotation_hypnogram(traces)
-            if hyp is None:
-                raise DataError(
-                    f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}"
-                )
-            kept, dropped = epoch_and_label(trace, hyp, subject=subject, target_fs=fs)
-            total_dropped += dropped
-            records.extend(kept)
+    nights = [_load_night(filename, channel, target_fs) for filename in files]
+    total_dropped = sum(dropped for _, dropped in nights)
     if total_dropped:
         print(f"dropped {total_dropped} epochs without a fully covering stage", file=sys.stderr)
-    return EpochStore(records)
+    return EpochStore([part for part, _ in nights])
+
+
+def _load_night(filename: str, channel: str, target_fs: float | None):
+    """((subject, signals, labels), dropped) of one EDF file, as load_edf_store
+    reads it; the parsed file is freed on return."""
+    with open(filename, "rb") as fh:
+        _, traces, _ = parse_edf(fh.read())
+    trace = select_trace(traces, channel)
+    fs = trace.fs if target_fs is None else target_fs
+    subject = os.path.splitext(os.path.basename(filename))[0]
+
+    sidecar = os.path.splitext(filename)[0] + ".labels"
+    if os.path.exists(sidecar):
+        stages = _read_sidecar(sidecar).tolist()
+        _, available = _epoch_grid(trace, fs)
+        if len(stages) > available:
+            raise DataError(
+                f"{sidecar}: {len(stages)} labels but only {available} epochs in the signal"
+            )
+    else:
+        hyp = annotation_hypnogram(traces)
+        if hyp is None:
+            raise DataError(f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}")
+        stages = hyp.stages_for_epochs(_epoch_grid(trace, fs)[1], EPOCH_S)
+    signals, dropped = epoch_and_label(trace, stages, fs)
+    return (subject, signals, [stage for stage in stages if stage is not None]), dropped
 
 
 def load_store(data: DataConfig, model: ModelConfig, role: str,
@@ -110,19 +110,27 @@ def load_store(data: DataConfig, model: ModelConfig, role: str,
     return load_edf_store(path, data.channel, target_fs=resample_to)
 
 
-def epoch_and_label(trace: SignalTrace, hyp: Hypnogram, subject: str = "unknown",
-                    target_fs: float | None = None):
-    """Slice a trace into epoch records labeled by the covering stage.
+def epoch_and_label(trace: SignalTrace, stages: list, fs: float):
+    """The epochs of the trace resampled to fs whose stage is not None.
 
-    With target_fs the epochs are those of the whole trace resampled to
-    target_fs, but only the runs of kept epochs are resampled. Returns
-    (records, dropped): records are (subject, (1, T) signal, label); epochs
-    whose span is not fully covered by a single known stage are dropped and counted.
+    stages holds one stage or None per epoch from the start of the trace, at
+    most as many as the trace has. Only the runs of kept epochs are resampled,
+    each into its rows of one preallocated array. Returns (signals (k, 1, T),
+    dropped): the kept epochs in order and the count of None stages.
     """
-    fs = trace.fs if target_fs is None else target_fs
-    T, n_epochs = _epoch_grid(trace, fs)
-    stages = hyp.stages_for_epochs(n_epochs, EPOCH_S)
-    return _epoch_records(trace, stages, T, fs, subject), stages.count(None)
+    T, _ = _epoch_grid(trace, fs)
+    dropped = stages.count(None)
+    signals = np.empty((len(stages) - dropped, 1, T))
+    row = 0
+    for is_dropped, run in itertools.groupby(range(len(stages)), key=lambda k: stages[k] is None):
+        if is_dropped:
+            continue
+        run = list(run)
+        first, n = run[0], len(run)
+        span = _resampled_span(trace, first * T, (first + n) * T, fs)
+        signals[row : row + n, 0] = span.reshape(n, T)
+        row += n
+    return signals, dropped
 
 
 def _epoch_grid(trace: SignalTrace, fs: float):
@@ -137,21 +145,6 @@ def _epoch_grid(trace: SignalTrace, fs: float):
             f"epoch length {EPOCH_S}s at {fs}Hz is {t_float} samples, not an integer"
         )
     return T, n // T
-
-
-def _epoch_records(trace: SignalTrace, stages: list, T: int, fs: float, subject: str) -> list:
-    """Records of the epochs whose stage is not None, resampling each maximal
-    run of such epochs on its own."""
-    records = []
-    for dropped, run in itertools.groupby(enumerate(stages), key=lambda ks: ks[1] is None):
-        if dropped:
-            continue
-        run = list(run)
-        first = run[0][0]
-        span = _resampled_span(trace, first * T, (first + len(run)) * T, fs)
-        records.extend((subject, span[i * T : (i + 1) * T].reshape(1, T), stage)
-                       for i, (_, stage) in enumerate(run))
-    return records
 
 
 def _resampled_span(trace: SignalTrace, start: int, stop: int, target_fs: float) -> np.ndarray:
@@ -275,18 +268,22 @@ def synth_dataset(
 
     T = EPOCH_S * fs
     t = np.arange(T) / fs
-    records = []
+    parts = []
     for subject in range(n_subjects):
+        signals = np.empty((epochs_per_subject, 1, T))
+        labels = np.empty(epochs_per_subject, dtype=np.int64)
         label = int(rng.integers(0, N_CLASSES))
-        for _ in range(epochs_per_subject):
+        for k in range(epochs_per_subject):
             phase = rng.uniform(0.0, 2.0 * np.pi)
             x = np.sin(2.0 * np.pi * class_freqs[label] * t + phase)
             if noise_sd > 0:
                 x = x + noise_sd * rng.standard_normal(T)
-            records.append((f"synth{subject:03d}", x.reshape(1, T), label))
+            signals[k, 0] = x
+            labels[k] = label
             if rng.random() >= self_transition:
                 label = (label + int(rng.integers(1, N_CLASSES))) % N_CLASSES
-    return EpochStore(records)
+        parts.append((f"synth{subject:03d}", signals, labels))
+    return EpochStore(parts)
 
 
 def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:

@@ -17,49 +17,49 @@ SAMPLING_MODES = ("none", "easy", "easy+difficult")
 class EpochStore:
     """Immutable pool of labeled 30-second epochs, one run of record ids per subject.
 
-    records is a flat list of (subject, signal (1, T) finite float array,
-    label in 0..N_CLASSES-1). A record's id is its index in the list. A
-    subject's records are consecutive and in temporal order, so each subject
-    owns one run of ids (see spans), and a window of S epochs is named by its
-    first id. Window indexes are built lazily per requested sequence length.
+    parts lists (subject, signals (k, 1, T) finite floats, labels (k,) in
+    0..N_CLASSES-1) per subject, in store order, each subject's epochs in time
+    order; a part with k = 0 adds no subject. Records are numbered across the
+    parts, so each subject owns one run of ids (see spans), and a window of S
+    epochs is named by its first id. Window indexes are built lazily per S.
     """
 
-    def __init__(self, records):
-        if not records:
-            raise DataError("epoch store needs at least one record")
+    def __init__(self, parts):
         self.subjects: list = []
-        bounds = []
-        shape = None
-        signals = []
-        labels = []
-        for i, (subject, signal, label) in enumerate(records):
-            signal = np.asarray(signal, dtype=np.float64)
-            if signal.ndim != 2 or signal.shape[0] != 1:
-                raise DataError(f"record {i}: signal must be (1, T), got shape {signal.shape}")
-            if shape is None:
-                shape = signal.shape
-            elif signal.shape != shape:
+        self._bounds = [0]
+        signals, labels = [], []
+        for subject, x, y in parts:
+            x = np.asarray(x, dtype=np.float64)
+            i = self._bounds[-1]
+            if len(x) != len(y):
+                raise DataError(f"record {i}: {len(x)} signals but {len(y)} labels")
+            if not len(y):
+                continue
+            if x.ndim != 3 or x.shape[1] != 1:
+                raise DataError(f"record {i}: signal must be (1, T), got shape {x.shape[1:]}")
+            if signals and x.shape[1:] != signals[0].shape[1:]:
+                raise DataError(f"record {i}: signal shape {x.shape[1:]} differs from first "
+                                f"record {signals[0].shape[1:]}")
+            if subject in self.subjects:
                 raise DataError(
-                    f"record {i}: signal shape {signal.shape} differs from first record {shape}"
+                    f"record {i}: subject {subject!r} reappears after {self.subjects[-1]!r}; "
+                    "a subject's records must be consecutive"
                 )
-            if not np.isfinite(signal).all():
-                raise DataError(f"record {i}: signal has non-finite values")
-            if not 0 <= int(label) < N_CLASSES:
-                raise DataError(f"record {i}: label {label} outside 0..{N_CLASSES - 1}")
-            if not self.subjects or subject != self.subjects[-1]:
-                if subject in self.subjects:
-                    raise DataError(
-                        f"record {i}: subject {subject!r} reappears after {self.subjects[-1]!r}; "
-                        "a subject's records must be consecutive"
-                    )
-                self.subjects.append(subject)
-                bounds.append(i)
-            signals.append(signal)
-            labels.append(int(label))
-        self.signals = np.stack(signals)           # (n, 1, T)
-        self.labels = np.array(labels, dtype=np.int64)
-        self.signal_shape = shape
-        self._bounds = bounds + [len(labels)]
+            self.subjects.append(subject)
+            self._bounds.append(i + len(y))
+            signals.append(x)
+            labels.append(y)
+        if not signals:
+            raise DataError("epoch store needs at least one record")
+        self.signals = np.concatenate(signals)     # (n, 1, T)
+        self.labels = np.concatenate(labels).astype(np.int64)
+        bad = ~np.isfinite(self.signals).all(axis=(1, 2))
+        if bad.any():
+            raise DataError(f"record {bad.argmax()}: signal has non-finite values")
+        bad = (self.labels < 0) | (self.labels >= N_CLASSES)
+        if bad.any():
+            i = bad.argmax()
+            raise DataError(f"record {i}: label {self.labels[i]} outside 0..{N_CLASSES - 1}")
         self._window_cache: dict = {}
         self._sequence_cache: dict = {}
         self._epochs_by_class = [np.flatnonzero(self.labels == c) for c in range(N_CLASSES)]

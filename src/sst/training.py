@@ -96,15 +96,11 @@ def split_subjects(store: EpochStore, val_fraction: float, rng: np.random.Genera
         n_val = len(spans) - 1
     val_set = set(order[:n_val].tolist())
 
-    def records_for(keep):
-        return [
-            (subject, store.signals[i], int(store.labels[i]))
-            for k, (subject, first, end) in enumerate(spans)
-            if (k in val_set) == keep
-            for i in range(first, end)
-        ]
+    def parts(keep):
+        return [(subject, store.signals[first:end], store.labels[first:end])
+                for k, (subject, first, end) in enumerate(spans) if (k in val_set) == keep]
 
-    return EpochStore(records_for(False)), EpochStore(records_for(True))
+    return EpochStore(parts(False)), EpochStore(parts(True))
 
 
 def sequential_windows(store: EpochStore, S: int) -> np.ndarray:
@@ -245,13 +241,15 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
 def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainConfig,
                       model_cfg: ModelConfig) -> MetricsReport:
     """Pure inference over a test store; no fine-tuning, no updates."""
-    if store_test.signal_shape != (1, model_cfg.T):
+    if store_test.signals.shape[1:] != (1, model_cfg.T):
         raise ConfigError(
-            f"test epochs are {store_test.signal_shape} but the checkpoint expects "
+            f"test epochs are {store_test.signals.shape[1:]} but the checkpoint expects "
             f"(1, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
         )
     windows = _full_windows(store_test, model_cfg.S, "test")
-    _, report = _infer_batches(params, store_test, windows, model_cfg, cfg.batch_size, cfg.loss)
+    loss, report = _infer_batches(params, store_test, windows, model_cfg, cfg.batch_size, cfg.loss)
+    if not math.isfinite(loss):
+        raise NumericalError("non-finite test loss: the checkpoint's weights overflow the model")
     return report
 
 

@@ -176,11 +176,8 @@ class TestOverfitAndTransfer:
 class TestSamplingProtocol:
     @staticmethod
     def flat_store():
-        records = []
-        for subject in ("a", "b"):
-            for i in range(50):
-                records.append((subject, np.full((1, 4), i * 0.01), i % 5))
-        return EpochStore(records)
+        signals = np.repeat(np.arange(50) * 0.01, 4).reshape(50, 1, 4)
+        return EpochStore([(subject, signals, np.arange(50) % 5) for subject in ("a", "b")])
 
     def test_provenance_frequencies(self):
         store = self.flat_store()

@@ -1,5 +1,6 @@
 """Checkpoint round trips must be bit exact; corrupt files must fail loudly."""
 
+import os
 import re
 import struct
 
@@ -55,6 +56,22 @@ class TestRoundTrip:
             at += 4 + n
         assert lines == ["fs=10", "S=4", "C=1", "D=16", "N=4", "A=4", "head_dim=4", "d=1",
                          "ffn_dim=32", "n_classes=5", "T=300"]
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, small_params(seed=0))
+        with open(path, "rb") as fh:
+            before = fh.read()
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, small_params(seed=1))
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_derived_head_dim_keeps_its_line(self, tmp_path):
         stated, derived = str(tmp_path / "stated.ckpt"), str(tmp_path / "derived.ckpt")

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sst.cli
 from sst.checkpoint import save_checkpoint
@@ -343,6 +345,76 @@ class TestTransfer:
         assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
                      "--out", str(tmp_path / "tr"), "--resample-to", rate]) == 1
         assert "rates must be positive and finite" in capsys.readouterr().err
+
+
+def with_first_shape(blob, config_path, shape):
+    """Checkpoint bytes with the rank and extents of the first parameter
+    replaced by those of shape."""
+    name = ModelParams(load_run_config(config_path).model).named_params()[0][0].encode("ascii")
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    (rank,) = struct.unpack_from("<I", blob, at)
+    head = struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+    return blob[:at] + head + blob[at + 4 + 4 * rank:]
+
+
+# a first parameter of rank 65, and one of rank 4 whose extents multiply to
+# 2**64, which wraps to 0 in int64
+IMPOSSIBLE_SHAPES = [(1,) * 65, (65536,) * 4]
+
+EXTENTS = st.one_of(st.integers(0, 4), st.just(65536), st.integers(0, 2**32 - 1))
+
+
+class TestCheckpointMutation:
+    """Whatever a checkpoint's bytes, transfer ends in an exit code."""
+
+    @pytest.mark.parametrize("shape", IMPOSSIBLE_SHAPES, ids=["rank65", "wraps_to_0"])
+    def test_impossible_parameter_shape_exits_two(self, config_path, tmp_path, capsys, shape):
+        ckpt = random_checkpoint(config_path, tmp_path)
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(with_first_shape(blob, config_path, shape))
+        assert main(["transfer", ckpt, "--config", config_path,
+                     "--out", str(tmp_path / "tr")]) == 2
+        assert "model expects" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_exit_three(self, config_path, tmp_path, capsys):
+        params = ModelParams(load_run_config(config_path).model)
+        params.named_params()[0][1].data[...] = 1e300
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, params)
+        assert main(["transfer", ckpt, "--config", config_path,
+                     "--out", str(tmp_path / "tr")]) == 3
+        assert "non-finite test loss" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tr")
+
+    # overflow inside the model warns; the CLI must still end in an exit code
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.none() | st.lists(EXTENTS, max_size=70).map(tuple),
+           patches=st.lists(st.tuples(st.integers(0, 2**16), st.binary(min_size=1, max_size=4)),
+                            max_size=3),
+           cut=st.none() | st.integers(0, 2**16))
+    @example(shape=IMPOSSIBLE_SHAPES[0], patches=[], cut=None)
+    @example(shape=IMPOSSIBLE_SHAPES[1], patches=[], cut=None)
+    def test_mutated_checkpoint_exits_with_a_code(self, config_path, tmp_path, shape, patches,
+                                                  cut):
+        ckpt = random_checkpoint(config_path, tmp_path)
+        with open(ckpt, "rb") as fh:
+            blob = fh.read()
+        if shape is not None:
+            blob = with_first_shape(blob, config_path, shape)
+        for offset, raw in patches:
+            offset %= len(blob)
+            blob = blob[:offset] + raw + blob[offset + len(raw):]
+        if cut is not None:
+            blob = blob[: cut % (len(blob) + 1)]
+        with open(ckpt, "wb") as fh:
+            fh.write(blob)
+        assert main(["transfer", ckpt, "--config", config_path,
+                     "--out", str(tmp_path / "tr")]) in {0, 1, 2, 3}
 
 
 class TestInspectEdf:

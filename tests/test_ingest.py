@@ -7,6 +7,7 @@ import pytest
 from sst import ingest
 from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
 from sst.errors import ConfigError, DataError, ParseError
+from sst.metrics import EPOCH_S
 from sst.sampling import EpochStore
 from sst.ingest import (
     epoch_and_label,
@@ -31,42 +32,48 @@ def trace_of(rng, n, fs, label="EEG"):
     return SignalTrace(sig, float(fs), rng.integers(-32768, 32768, size=n, dtype=np.int16))
 
 
+def label_epochs(trace, hyp):
+    """(signals, kept labels, dropped) of the trace at its own rate, staged
+    by hyp per whole epoch as a TAL night is."""
+    stages = hyp.stages_for_epochs(len(trace.digital) // int(EPOCH_S * trace.fs), EPOCH_S)
+    signals, dropped = epoch_and_label(trace, stages, trace.fs)
+    return signals, [stage for stage in stages if stage is not None], dropped
+
+
 class TestEpochAndLabel:
     def test_all_wake(self, rng):
         trace = trace_of(rng, 9000, fs=100)
-        records, dropped = epoch_and_label(trace, Hypnogram([(0.0, 90.0, 0)]), subject="a")
+        signals, labels, dropped = label_epochs(trace, Hypnogram([(0.0, 90.0, 0)]))
         assert dropped == 0
-        assert len(records) == 3
-        for k, (subject, signal, label) in enumerate(records):
-            assert subject == "a"
-            assert signal.shape == (1, 3000)
-            assert label == 0
+        assert signals.shape == (3, 1, 3000)
+        assert labels == [0, 0, 0]
+        for k, signal in enumerate(signals):
             assert signal[0].tobytes() == trace.physical(k * 3000, (k + 1) * 3000).tobytes()
 
     def test_straddling_epoch_dropped(self, rng):
         trace = trace_of(rng, 9000, fs=100)
         hyp = Hypnogram([(0.0, 45.0, 0), (45.0, 45.0, 1)])
-        records, dropped = epoch_and_label(trace, hyp)
+        signals, labels, dropped = label_epochs(trace, hyp)
         assert dropped == 1
-        assert [r[2] for r in records] == [0, 1]
+        assert labels == [0, 1] and len(signals) == 2
 
     def test_unknown_stage_dropped(self, rng):
         trace = trace_of(rng, 6000, fs=100)
         hyp = Hypnogram([(0.0, 30.0, None), (30.0, 30.0, 2)])
-        records, dropped = epoch_and_label(trace, hyp)
+        signals, labels, dropped = label_epochs(trace, hyp)
         assert dropped == 1
-        assert [r[2] for r in records] == [2]
+        assert labels == [2] and len(signals) == 1
 
     def test_trailing_partial_epoch_ignored(self, rng):
         trace = trace_of(rng, 3500, fs=100)
-        records, dropped = epoch_and_label(trace, Hypnogram([(0.0, 60.0, 0)]))
-        assert len(records) == 1
+        signals, _, dropped = label_epochs(trace, Hypnogram([(0.0, 60.0, 0)]))
+        assert len(signals) == 1
         assert dropped == 0
 
     def test_non_integer_epoch_rejected(self, rng):
         trace = trace_of(rng, 100, fs=0.11)
         with pytest.raises(ConfigError):
-            epoch_and_label(trace, Hypnogram([]))
+            epoch_and_label(trace, [], 0.11)
 
 
 RATE_PAIRS = [(200, 100), (256, 100), (125, 100), (100, 150), (500, 100), (100, 100)]
@@ -100,18 +107,18 @@ class TestScoredSpanResampling:
         full = resample(trace.physical(0, n), fs, target)
         T = 30 * target
         n_full = len(full) // T
+        assert ingest._epoch_grid(trace, target) == (T, n_full)
         hyp = Hypnogram([(30.0 * k, 30.0, s) for k, s in enumerate(stages)])
 
         calls = []
         monkeypatch.setattr(ingest, "resample",
                             lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
-        records, dropped = epoch_and_label(trace, hyp, subject="s", target_fs=target)
+        signals, dropped = epoch_and_label(trace, hyp.stages_for_epochs(n_full, EPOCH_S), target)
 
         kept = [k for k in range(n_full) if stages[k] is not None]
         assert dropped == n_full - len(kept)
-        assert [r[2] for r in records] == [stages[k] for k in kept]
-        for k, (subject, signal, _) in zip(kept, records):
-            assert subject == "s"
+        assert len(signals) == len(kept)
+        for k, signal in zip(kept, signals):
             assert signal.tobytes() == full[k * T : (k + 1) * T].reshape(1, T).tobytes()
         assert len(calls) == maximal_runs(stages[:n_full])
         if pattern != "all_kept":
@@ -149,6 +156,28 @@ class TestTalLabels:
         kept = np.stack([eeg.physical(0, 300), eeg.physical(600, 900)])
         assert store.signals.tobytes() == kept.tobytes()
         assert "dropped 1 epochs" in capsys.readouterr().err
+
+    def test_all_dropped_night_adds_no_subject(self, tmp_path, capsys):
+        (tmp_path / "a.edf").write_bytes(tal_edf(10, ["Sleep stage ?", "Movement time"]))
+        (tmp_path / "b.edf").write_bytes(tal_edf(10, ["Sleep stage 1", "Sleep stage W"]))
+        store = load_edf_store(str(tmp_path), "EEG")
+        assert store.spans() == [("b", 0, 2)]
+        np.testing.assert_array_equal(store.labels, [1, 0])
+        assert "dropped 2 epochs" in capsys.readouterr().err
+
+    def test_sidecar_and_tal_nights_load_together(self, tmp_path):
+        digital = np.random.default_rng(7).integers(-30000, 30000, size=900, dtype=np.int16)
+        write_sidecar_edf(tmp_path / "a", 10, digital, "2\nR\n")
+        blob = tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage 3"])
+        (tmp_path / "b.edf").write_bytes(blob)
+        store = load_edf_store(str(tmp_path), "EEG")
+
+        assert store.spans() == [("a", 0, 2), ("b", 2, 4)]
+        np.testing.assert_array_equal(store.labels, [2, 4, 0, 3])
+        sidecar_eeg = parse_edf((tmp_path / "a.edf").read_bytes())[1][0]
+        tal_eeg = parse_edf(blob)[1][0]
+        kept = [sidecar_eeg.physical(0, 600), tal_eeg.physical(0, 300), tal_eeg.physical(600, 900)]
+        assert store.signals.tobytes() == np.concatenate(kept).tobytes()
 
     def test_no_annotations_and_no_sidecar_rejected(self, tmp_path):
         write_sidecar_edf(tmp_path / "a", 10, np.zeros(300, dtype=np.int16), "W\n")
@@ -253,7 +282,7 @@ class TestSynthDataset:
         a = synth_dataset(2, 10, fs=10, rng=np.random.default_rng(5))
         b = synth_dataset(2, 10, fs=10, rng=np.random.default_rng(5))
         assert len(a) == 20
-        assert a.signal_shape == (1, 300)
+        assert a.signals.shape == (20, 1, 300)
         assert a.signals.tobytes() == b.signals.tobytes()
         np.testing.assert_array_equal(a.labels, b.labels)
 
@@ -302,7 +331,7 @@ class TestSynthDataset:
 
 class TestExportEdf:
     def test_non_ascii_subject_is_a_data_error(self, rng, tmp_path):
-        store = EpochStore([("é", rng.standard_normal((1, 300)), 0)])
+        store = EpochStore([("é", rng.standard_normal((1, 1, 300)), [0])])
         with pytest.raises(DataError, match="field patient value 'é' is not ASCII"):
             export_edf(store, 10, str(tmp_path))
         assert list(tmp_path.iterdir()) == []

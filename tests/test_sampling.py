@@ -21,20 +21,14 @@ DRAW = {"p0": 0.25, "mode": "easy+difficult"}
 
 
 def make_store(rng, subjects=3, per_subject=30, T=8):
-    records = []
-    for k in range(subjects):
-        labels = [(i + k) % 5 for i in range(per_subject)]
-        for label in labels:
-            records.append((f"s{k}", rng.standard_normal((1, T)), label))
-    return EpochStore(records)
+    return EpochStore([(f"s{k}", rng.standard_normal((per_subject, 1, T)),
+                        [(i + k) % 5 for i in range(per_subject)]) for k in range(subjects)])
 
 
 def uneven_store(rng):
     """Subjects of 2, 7, 1 and 5 epochs, labels cycling through every class."""
-    records = []
-    for k, n in enumerate((2, 7, 1, 5)):
-        records += [(f"s{k}", rng.standard_normal((1, 8)), (i + k) % 5) for i in range(n)]
-    return EpochStore(records)
+    return EpochStore([(f"s{k}", rng.standard_normal((n, 1, 8)), [(i + k) % 5 for i in range(n)])
+                       for k, n in enumerate((2, 7, 1, 5))])
 
 
 def in_one_span(store, ids):
@@ -52,27 +46,55 @@ class TestEpochStore:
             EpochStore([])
 
     def test_shape_mismatch_rejected(self, rng):
-        records = [("a", rng.standard_normal((1, 8)), 0), ("a", rng.standard_normal((1, 9)), 1)]
+        parts = [("a", rng.standard_normal((1, 1, 8)), [0]),
+                 ("b", rng.standard_normal((1, 1, 9)), [1])]
         with pytest.raises(DataError):
-            EpochStore(records)
+            EpochStore(parts)
 
     def test_second_channel_rejected(self, rng):
         with pytest.raises(DataError, match=r"record 0: signal must be \(1, T\)"):
-            EpochStore([("a", rng.standard_normal((2, 8)), 0)])
+            EpochStore([("a", rng.standard_normal((1, 2, 8)), [0])])
 
     def test_bad_label_rejected(self, rng):
         with pytest.raises(DataError):
-            EpochStore([("a", rng.standard_normal((1, 8)), 5)])
+            EpochStore([("a", rng.standard_normal((1, 1, 8)), [5])])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal_names_record(self, rng, bad):
-        records = [("a", rng.standard_normal((1, 8)), 0) for _ in range(4)]
-        records[2][1][0, 5] = bad
+        signals = rng.standard_normal((4, 1, 8))
+        signals[2, 0, 5] = bad
         with pytest.raises(DataError, match="record 2: signal has non-finite values"):
-            EpochStore(records)
+            EpochStore([("a", signals, [0] * 4)])
+
+    @pytest.mark.parametrize("fault,message", [
+        ("nan", "record 5: signal has non-finite values"),
+        ("label", "record 5: label 7 outside 0..4"),
+        ("shape", r"record 3: signal shape \(1, 9\) differs from first record \(1, 8\)"),
+        ("count", "record 3: 4 signals but 3 labels"),
+    ], ids=["nan", "label", "shape", "count"])
+    def test_bad_record_in_second_part_names_global_id(self, rng, fault, message):
+        signals, labels = rng.standard_normal((4, 1, 8)), [0, 1, 2, 3]
+        if fault == "nan":
+            signals[2, 0, 0] = np.nan
+        elif fault == "label":
+            labels[2] = 7
+        elif fault == "shape":
+            signals = rng.standard_normal((4, 1, 9))
+        else:
+            labels.pop()
+        parts = [("a", rng.standard_normal((3, 1, 8)), [0, 1, 2]), ("b", signals, labels)]
+        with pytest.raises(DataError, match=message):
+            EpochStore(parts)
+
+    def test_empty_part_adds_no_subject(self, rng):
+        parts = [("a", np.empty((0, 1, 8)), []), ("b", rng.standard_normal((2, 1, 8)), [0, 1]),
+                 ("c", np.empty((0, 1, 8)), [])]
+        assert EpochStore(parts).spans() == [("b", 0, 2)]
+        with pytest.raises(DataError, match="at least one record"):
+            EpochStore(parts[:1])
 
     def test_windows_by_class_centers(self, rng):
-        store = EpochStore([("a", rng.standard_normal((1, 4)), c) for c in (0, 1, 2)])
+        store = EpochStore([("a", rng.standard_normal((3, 1, 4)), [0, 1, 2])])
         windows = store.windows_by_class(3)
         assert windows[1] == [0]
         assert windows[0] == [] and windows[2] == []
@@ -80,27 +102,26 @@ class TestEpochStore:
         assert [len(w) for w in singles] == [1, 1, 1, 0, 0]
 
     def test_windows_do_not_cross_subjects(self, rng):
-        records = [("a", rng.standard_normal((1, 4)), 0)] * 2 + [
-            ("b", rng.standard_normal((1, 4)), 0)
-        ] * 2
-        store = EpochStore(records)
+        store = EpochStore([(subject, rng.standard_normal((2, 1, 4)), [0, 0]) for subject in "ab"])
         assert len(store.windows_by_class(2)[0]) == 2
         assert len(store.windows_by_class(4)[0]) == 0
 
     def test_sequence_index(self, rng):
-        store = EpochStore([("a", rng.standard_normal((1, 4)), c) for c in (0, 1, 2, 1, 2)])
+        store = EpochStore([("a", rng.standard_normal((5, 1, 4)), [0, 1, 2, 1, 2])])
         table = store.windows_by_sequence(3)
         assert 0 in table[(0, 1, 2)]
         assert 2 in table[(2, 1, 2)]
 
     def test_subject_reappearing_names_record(self, rng):
-        records = [(subject, rng.standard_normal((1, 4)), 0) for subject in "aaba"]
+        parts = [(subject, rng.standard_normal((n, 1, 4)), [0] * n)
+                 for subject, n in (("a", 2), ("b", 1), ("a", 1))]
         with pytest.raises(DataError, match="record 3: subject 'a' reappears after 'b'"):
-            EpochStore(records)
+            EpochStore(parts)
 
     def test_spans_bound_each_subject(self, rng):
-        records = [(subject, rng.standard_normal((1, 4)), 0) for subject in "aaabcc"]
-        assert EpochStore(records).spans() == [("a", 0, 3), ("b", 3, 4), ("c", 4, 6)]
+        parts = [(subject, rng.standard_normal((n, 1, 4)), [0] * n)
+                 for subject, n in (("a", 3), ("b", 1), ("c", 2))]
+        assert EpochStore(parts).spans() == [("a", 0, 3), ("b", 3, 4), ("c", 4, 6)]
 
     def test_windows_stay_inside_one_span(self, rng):
         store = uneven_store(rng)
@@ -128,21 +149,19 @@ class TestBalancedAnchors:
 
     def test_missing_class_named(self, rng):
         # labels only 0..3, class REM has no windows
-        records = [("a", rng.standard_normal((1, 4)), c % 4) for c in range(20)]
-        store = EpochStore(records)
+        store = EpochStore([("a", rng.standard_normal((20, 1, 4)), [c % 4 for c in range(20)])])
         with pytest.raises(DataError, match="REM"):
             balanced_anchor_indices(store, 4, 1, rng)
 
     def test_single_class_single_subject(self, rng):
-        records = [("only", rng.standard_normal((1, 4)), c) for c in range(5)] * 3
-        store = EpochStore(records)
+        store = EpochStore([("only", rng.standard_normal((15, 1, 4)), [c % 5 for c in range(15)])])
         anchors = balanced_anchor_indices(store, 30, 1, rng)
         assert ((0 <= anchors) & (anchors < 15)).all()
 
 
 class TestMatchCompanion:
     def test_exact_sequence_when_available(self, rng):
-        store = EpochStore([("a", rng.standard_normal((1, 4)), 0) for _ in range(6)])
+        store = EpochStore([("a", rng.standard_normal((6, 1, 4)), [0] * 6)])
         ids = match_companion(store, np.zeros((2, 4), dtype=int), rng)
         for row in ids:
             assert len(row) == 4
@@ -166,7 +185,7 @@ class TestMatchCompanion:
             np.testing.assert_array_equal(store.labels[ids], Y)
 
     def test_absent_class_rejected(self, rng):
-        store = EpochStore([("a", rng.standard_normal((1, 4)), 0)])
+        store = EpochStore([("a", rng.standard_normal((1, 1, 4)), [0])])
         with pytest.raises(DataError, match="N2"):
             match_companion(store, np.array([[2]]), rng)
 

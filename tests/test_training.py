@@ -116,16 +116,14 @@ class TestSequentialWindows:
             assert np.all(np.diff(w) == 1)
 
     def test_short_subject_contributes_nothing(self, rng):
-        records = [("tiny", rng.standard_normal((1, 4)), 0)]
-        records += [("big", rng.standard_normal((1, 4)), 1) for _ in range(4)]
-        windows = sequential_windows(EpochStore(records), 2)
+        parts = [("tiny", rng.standard_normal((1, 1, 4)), [0]),
+                 ("big", rng.standard_normal((4, 1, 4)), [1] * 4)]
+        windows = sequential_windows(EpochStore(parts), 2)
         assert len(windows) == 2
 
     def test_windows_never_cross_a_span(self, rng):
-        records = []
-        for k, n in enumerate((5, 1, 4, 3)):
-            records += [(f"s{k}", rng.standard_normal((1, 4)), 0) for _ in range(n)]
-        store = EpochStore(records)
+        store = EpochStore([(f"s{k}", rng.standard_normal((n, 1, 4)), [0] * n)
+                            for k, n in enumerate((5, 1, 4, 3))])
         assert sequential_windows(store, 2).tolist() == [[0, 1], [2, 3], [6, 7], [8, 9], [10, 11]]
         assert sequential_windows(store, 3).tolist() == [[0, 1, 2], [6, 7, 8], [10, 11, 12]]
         assert sequential_windows(store, 6).shape == (0, 6)
@@ -259,9 +257,9 @@ class TestTrain:
         """Two 25-epoch subjects and 'short', one epoch against S = 2, which
         seed 4 sends to validation."""
         long = toy_store(subjects=2)
-        records = [(s, long.signals[i], int(long.labels[i]))
-                   for s, first, end in long.spans() for i in range(first, end)]
-        return EpochStore(records + [("short", long.signals[0], 0)])
+        parts = [(s, long.signals[first:end], long.labels[first:end])
+                 for s, first, end in long.spans()]
+        return EpochStore(parts + [("short", long.signals[:1], [0])])
 
     def test_validation_without_full_window_fails_before_any_step(self, monkeypatch):
         steps = []
@@ -287,11 +285,8 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborts_on_non_finite_loss(self, rng):
-        records = []
-        for k in range(2):
-            for i in range(8):
-                records.append((f"s{k}", np.full((1, 300), 1e200), (i + k) % 5))
-        store = EpochStore(records)
+        store = EpochStore([(f"s{k}", np.full((8, 1, 300), 1e200), [(i + k) % 5 for i in range(8)])
+                            for k in range(2)])
         with pytest.raises(NumericalError, match="step 1"):
             train(store, toy_train_config(), toy_model_config())
 

@@ -277,7 +277,10 @@ def synth_dataset(
             phase = rng.uniform(0.0, 2.0 * np.pi)
             x = np.sin(2.0 * np.pi * class_freqs[label] * t + phase)
             if noise_sd > 0:
-                x = x + noise_sd * rng.standard_normal(T)
+                # a noise_sd that overflows leaves non-finite samples, which
+                # EpochStore rejects with a DataError: that is the report
+                with np.errstate(over="ignore"):
+                    x = x + noise_sd * rng.standard_normal(T)
             signals[k, 0] = x
             labels[k] = label
             if rng.random() >= self_transition:

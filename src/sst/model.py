@@ -10,6 +10,7 @@ self-attention stack over the epoch sequence feeds the classification head.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,13 +165,19 @@ class ForwardTrace:
     z: Tensor         # (B, S, N_CLASSES)
 
 
+@functools.cache
 def positional_encoding(count: int, D: int) -> Tensor:
-    """sin(pos / 10000^(2*floor(n/2)/D) - offset), offset pi/2 for even n, 0 for odd."""
+    """sin(pos / 10000^(2*floor(n/2)/D) - offset), offset pi/2 for even n, 0 for odd.
+
+    Built once per (count, D) and shared: a read-only constant off the tape.
+    """
     pos = np.arange(count, dtype=np.float64)[:, None]
     n = np.arange(D, dtype=np.float64)[None, :]
     denom = np.power(10000.0, 2.0 * np.floor(n / 2.0) / D)
     offset = (1.0 + np.power(-1.0, n)) * np.pi / 4.0
-    return Tensor(np.sin(pos / denom - offset))
+    pe = Tensor(np.sin(pos / denom - offset))
+    pe.data.flags.writeable = False
+    return pe
 
 
 def cnn_block_forward(x: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:

@@ -118,10 +118,15 @@ def _full_windows(store: EpochStore, S: int, role: str) -> np.ndarray:
 
 
 def _infer_batches(params, store, windows, model_cfg, batch_size, loss_cfg):
-    """Inference with X' := X over fixed windows. Returns (mean loss, report)."""
+    """Inference with X' := X over fixed windows. Returns (mean loss, report).
+
+    Floating-point overflow is not reported here: weights that overflow the
+    model give a non-finite mean loss, which train and transfer_evaluate
+    turn into a NumericalError.
+    """
     loss_sum = 0.0
     trues, preds = [], []
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(all="ignore"):
         for at in range(0, len(windows), batch_size):
             ids = windows[at : at + batch_size]
             X = ad.Tensor(store.signals[ids])

@@ -10,6 +10,10 @@ from scipy.special import ndtr
 from sst import autodiff as ad
 from sst.autodiff import Tensor
 from sst.errors import ContractError, DimensionError
+from sst.model import ModelConfig, ModelParams
+from sst.optim import AdamState
+from sst.sampling import PairBatch
+from sst.training import TrainConfig, train_step
 
 from conftest import assert_grad_close, fd_grad
 
@@ -445,3 +449,55 @@ class TestShapeOps:
         y = _param([-1.0, 2.0])
         ad.backward(ad.clamp_min(y, 0.5).sum())
         np.testing.assert_array_equal(y.grad, [0.0, 1.0])
+
+
+def _kept_after(forward):
+    """Bytes allocated by forward() that are still held once it has returned."""
+    tracemalloc.start()
+    try:
+        result = forward()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, kept
+
+
+class TestTapeMemory:
+    """A recorded op keeps only what its backward rule reads."""
+
+    def test_data_free_rules_keep_no_input(self, rng):
+        x = _param(rng.normal(size=(128, 64, 128)))    # 8 MB
+        # scale and shift each make a fresh input-sized array; reshape and
+        # permute are views; none of their rules reads data
+        loss, kept = _kept_after(lambda: ad.sum_(
+            ad.shift(ad.scale(x, 2.0), 1.0).reshape(128, 64 * 128).permute(1, 0)))
+        assert kept < x.data.nbytes
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0))
+
+    def test_gelu_keeps_one_array_besides_its_output(self, rng):
+        x = _param(rng.normal(size=(1 << 20,)))        # 8 MB
+        # the input is an intermediate, so only the tape could keep it alive
+        y, kept = _kept_after(lambda: ad.gelu(ad.scale(x, 1.0)))
+        assert kept < 2.5 * x.data.nbytes
+        ad.backward(y.sum())
+        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+        np.testing.assert_allclose(x.grad, ndtr(x.data) + x.data * pdf, rtol=1e-14)
+
+    def test_paper_scale_train_step_peak(self, rng):
+        cfg = ModelConfig()
+        params = ModelParams(cfg)
+        B = 4
+        shape = (B, cfg.S, 1, cfg.T)
+        batch = PairBatch(X=Tensor(rng.normal(size=shape)), Xp=Tensor(rng.normal(size=shape)),
+                          Y=rng.integers(0, 5, size=(B, cfg.S)), provenance="random",
+                          companion_ids=np.zeros((B, cfg.S), dtype=np.int64))
+        adam = AdamState(params.params())
+        tracemalloc.start()
+        try:
+            parts = train_step(params, adam, batch, TrainConfig(batch_size=B), cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(parts["total"])
+        assert peak < 200e6

@@ -176,7 +176,6 @@ class TestTrain:
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert f"[{section}] {key} = {value!r} is not a finite number" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_synthetic_signal_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, with_line("data", "noise_sd", "1e308"))
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -378,7 +377,6 @@ class TestCheckpointMutation:
                      "--out", str(tmp_path / "tr")]) == 2
         assert "model expects" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_weights_exit_three(self, config_path, tmp_path, capsys):
         params = ModelParams(load_run_config(config_path).model)
         params.named_params()[0][1].data[...] = 1e300
@@ -389,8 +387,6 @@ class TestCheckpointMutation:
         assert "non-finite test loss" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "tr")
 
-    # overflow inside the model warns; the CLI must still end in an exit code
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(shape=st.none() | st.lists(EXTENTS, max_size=70).map(tuple),

@@ -1,7 +1,8 @@
 """Command-line entry point: train, transfer, inspect-edf, variance, synth.
 
-Exit codes: 0 success, 1 usage or configuration, 2 data or parsing,
-3 numerical failure.
+Exit codes: 0 on success, 1 when the arguments do not parse, 2 when a file
+cannot be read, and otherwise the exit_code of the SstError raised (errors.py
+holds that table).
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ import time
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config, resolve_seed
 from .edf import annotation_hypnogram, parse_edf
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DimensionError,
-    NumericalError,
-    ParseError,
-)
+from .errors import ConfigError, SstError
 from .ingest import export_edf, load_store
 from .metrics import STAGE_NAMES, MetricsReport
 from .training import train, transfer_evaluate, variance_experiment
@@ -104,7 +98,7 @@ def cmd_transfer(args) -> int:
 def cmd_inspect_edf(args) -> int:
     with open(args.path, "rb") as fh:
         data = fh.read()
-    header, traces, warnings = parse_edf(data, strict=not args.lenient)
+    header, traces = parse_edf(data)
     print(f"version: {header.version!r}")
     print(f"patient: {header.patient!r}")
     print(f"recording: {header.recording!r}")
@@ -121,8 +115,6 @@ def cmd_inspect_edf(args) -> int:
         for onset, duration, stage in hyp.entries[:5]:
             name = STAGE_NAMES[stage] if stage is not None else "?"
             print(f"  +{onset:g}s {duration:g}s {name}")
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -181,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect-edf", help="print an EDF file's structure")
     p_inspect.add_argument("path")
-    p_inspect.add_argument("--lenient", action="store_true",
-                           help="repair sloppy ASCII instead of failing")
     p_inspect.set_defaults(func=cmd_inspect_edf)
 
     p_var = sub.add_parser("variance", help="repeat training across seeds and sampling modes")
@@ -210,15 +200,9 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except (ConfigError, ContractError, DimensionError) as exc:
+    except SstError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

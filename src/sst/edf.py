@@ -2,14 +2,14 @@
 
 EDF files carry a 256-byte fixed-width ASCII header, one more 256-byte block
 per signal (field-major), then data records of little-endian int16 samples.
-The parser is strict by default; lenient mode repairs sloppy ASCII and
-reports what it repaired instead of failing.
+A header field that is not ASCII (as EDF+ requires), a numeric field that
+does not parse, or a value out of range is a ParseError naming the field and
+its byte offset.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +43,8 @@ SIGNAL_FIELDS = (
     ("reserved", 32, str),
 )
 
-# per numeric type: what a strict error calls it, and the first match that
-# lenient mode salvages out of a sloppy field
-_NUMERIC = {
-    int: ("an integer", re.compile(r"-?\d+")),
-    float: ("a number", re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")),
-}
-
-# lenient mode reads a non-ASCII header byte as '?', keeping the field ASCII and its width
-_TO_ASCII = bytes(range(128)) + b"?" * 128
+# what a parse error calls each numeric type
+_NUMERIC = {int: "an integer", float: "a number"}
 
 # EDF+ label of the signal that carries TAL annotations
 ANNOTATION_LABEL = "EDF Annotations"
@@ -120,11 +113,9 @@ class SignalTrace:
 
 
 class _Cursor:
-    def __init__(self, data: bytes, strict: bool, warnings: list[str]):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.strict = strict
-        self.warnings = warnings
 
     def read(self, width: int, name: str, kind: type) -> tuple:
         """The next field as kind (str, int or float) and its offset."""
@@ -136,29 +127,20 @@ class _Cursor:
         try:
             text = raw.decode("ascii").strip()
         except UnicodeDecodeError:
-            if self.strict:
-                raise ParseError(f"field {name} is not ASCII", offset=at) from None
-            text = raw.translate(_TO_ASCII).decode("ascii").strip()
-            self.warnings.append(f"field {name} at offset {at}: non-ASCII bytes replaced")
+            raise ParseError(f"field {name} is not ASCII", offset=at) from None
         if kind is str:
             return text, at
         try:
             return kind(text), at
         except ValueError:
-            what, salvage = _NUMERIC[kind]
-            m = None if self.strict else salvage.search(text)
-            if m is None:
-                raise ParseError(f"field {name} is not {what}: {text!r}", offset=at) from None
-            self.warnings.append(f"field {name} at offset {at}: parsed {m.group()!r} out of {text!r}")
-            return kind(m.group()), at
+            raise ParseError(f"field {name} is not {_NUMERIC[kind]}: {text!r}", offset=at) from None
 
 
-def parse_edf(data: bytes, strict: bool = True):
-    """Decode one EDF file. Returns (EdfHeader, [SignalTrace], warnings)."""
-    warnings: list[str] = []
+def parse_edf(data: bytes):
+    """Decode one EDF file. Returns (EdfHeader, [SignalTrace])."""
     if len(data) < 256:
         raise ParseError(f"file is {len(data)} bytes, EDF header needs 256", offset=len(data))
-    cur = _Cursor(data, strict, warnings)
+    cur = _Cursor(data)
 
     fields, at = {}, {}
     for name, width, kind in HEADER_FIELDS:
@@ -233,13 +215,7 @@ def parse_edf(data: bytes, strict: bool = True):
 
     n_records = fields["n_records"]
     if n_records < 0:
-        if strict:
-            raise ParseError(f"n_records is {n_records}", offset=at["n_records"])
-        per_record = sum(s.samples_per_record for s in signals) * 2
-        n_records = (len(data) - header_bytes) // per_record
-        warnings.append(f"n_records was -1, inferred {n_records} from file size")
-
-    fields["n_records"] = n_records
+        raise ParseError(f"n_records is {n_records}", offset=at["n_records"])
     header = EdfHeader(**fields, signals=signals)
 
     spr = np.array([s.samples_per_record for s in signals], dtype=np.int64)
@@ -258,7 +234,7 @@ def parse_edf(data: bytes, strict: bool = True):
     traces = [SignalTrace(sig, sig.samples_per_record / record_duration_s,
                           np.ascontiguousarray(table[:, bounds[i] : bounds[i + 1]]).reshape(-1))
               for i, sig in enumerate(signals)]
-    return header, traces, warnings
+    return header, traces
 
 
 def _pack(value, width: int, name: str) -> bytes:

@@ -1,29 +1,39 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError and ContractError/DimensionError
-are usage problems (1), DataError and ParseError are input problems (2),
-NumericalError is a runtime numerical failure (3).
+Each class declares in `exit_code` what the CLI returns when it ends a
+command: 1 for a usage or configuration problem, 2 for input data or a file
+that cannot be parsed, 3 for a numerical failure at run time.
 """
 
 
 class SstError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code: int
+
 
 class DimensionError(SstError):
     """Tensor shapes violate an operation's contract."""
+
+    exit_code = 1
 
 
 class ContractError(SstError):
     """An API precondition was violated (non-scalar backward, NaN loss, ...)."""
 
+    exit_code = 1
+
 
 class DataError(SstError):
     """Input data cannot satisfy the request (missing class, bad label, ...)."""
 
+    exit_code = 2
+
 
 class ParseError(SstError):
     """Malformed EDF/TAL input; carries a byte offset or record index."""
+
+    exit_code = 2
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
@@ -35,6 +45,10 @@ class ParseError(SstError):
 class ConfigError(SstError):
     """Invalid or inconsistent configuration."""
 
+    exit_code = 1
+
 
 class NumericalError(SstError):
     """Non-finite loss or other numerical breakdown during training."""
+
+    exit_code = 3

@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 LABEL_CHARS = "W123R"
 
 # per-class oscillation frequencies as fractions of fs; distinct and below
-# Nyquist for any even fs >= 10
+# Nyquist (0.5) for any fs
 DEFAULT_CLASS_FREQ_FRACTIONS = (0.02, 0.06, 0.11, 0.17, 0.23)
 
 MAX_RESAMPLE_FACTOR = 64
@@ -72,7 +72,7 @@ def _load_night(filename: str, channel: str, target_fs: float | None):
     """((subject, signals, labels), dropped) of one EDF file, as load_edf_store
     reads it; the parsed file is freed on return."""
     with open(filename, "rb") as fh:
-        _, traces, _ = parse_edf(fh.read())
+        _, traces = parse_edf(fh.read())
     trace = select_trace(traces, channel)
     fs = trace.fs if target_fs is None else target_fs
     subject = os.path.splitext(os.path.basename(filename))[0]
@@ -247,7 +247,6 @@ def synth_dataset(
     n_subjects: int,
     epochs_per_subject: int,
     fs: int,
-    class_freqs=None,
     noise_sd: float = 0.1,
     self_transition: float = 0.7,
     rng: np.random.Generator | None = None,
@@ -257,15 +256,10 @@ def synth_dataset(
     rng = rng if rng is not None else np.random.default_rng(0)
     if n_subjects <= 0 or epochs_per_subject <= 0:
         raise ConfigError("synth_dataset needs positive subject and epoch counts")
-    if class_freqs is None:
-        class_freqs = [f * fs for f in DEFAULT_CLASS_FREQ_FRACTIONS]
-    if len(class_freqs) != N_CLASSES or len(set(class_freqs)) != N_CLASSES:
-        raise ConfigError(f"need {N_CLASSES} distinct class frequencies, got {class_freqs}")
-    if max(class_freqs) >= fs / 2:
-        raise ConfigError(f"class frequency {max(class_freqs)} is at or above Nyquist ({fs / 2})")
     if not 0.0 <= self_transition < 1.0:
         raise ConfigError(f"self_transition must be in [0, 1), got {self_transition}")
 
+    class_freqs = [f * fs for f in DEFAULT_CLASS_FREQ_FRACTIONS]
     T = EPOCH_S * fs
     t = np.arange(T) / fs
     parts = []

@@ -28,6 +28,17 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# header fields that EDF+ does not allow, as (field, offset, bytes) in a
+# one-signal file: a number with junk, a negative record count, non-ASCII text
+SLOPPY_FIELDS = [
+    ("n_records", 236, b"2 rec   "),
+    ("n_records", 236, b"-1      "),
+    ("patient", 8, b"\xff"),
+    ("signal 0 phys_dim", 352, b"\xb5"),  # Latin-1 micro sign
+]
+SLOPPY_IDS = ["n_records_junk", "n_records_negative", "patient_0xff", "phys_dim_0xb5"]
+
+
 def tal_edf(fs, stage_texts):
     """EDF+ bytes with one 30 s record per entry of stage_texts: an EEG ramp
     at fs Hz and an annotation signal that scores record k as stage_texts[k]."""

@@ -352,8 +352,7 @@ class TestEdfRoundTrip:
     def test_multi_signal_multi_record_identity(self, rng):
         header, digital = self.fixture(rng)
         blob = write_edf(header, digital)
-        parsed_header, traces, warnings = parse_edf(blob)
-        assert warnings == []
+        parsed_header, traces = parse_edf(blob)
         assert parsed_header == header
         for trace, original in zip(traces, digital):
             assert np.array_equal(trace.digital, original)

@@ -4,8 +4,6 @@ import json
 import os
 import re
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,10 +15,18 @@ from sst.checkpoint import save_checkpoint
 from sst.cli import main
 from sst.config import load_run_config
 from sst.edf import parse_edf
+from sst.errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    DimensionError,
+    NumericalError,
+    ParseError,
+)
 from sst.ingest import labels_from_text
 from sst.model import ModelParams
 
-from conftest import tal_edf
+from conftest import SLOPPY_FIELDS, SLOPPY_IDS, tal_edf
 
 CONFIG = """\
 [data]
@@ -426,32 +432,6 @@ class TestInspectEdf:
         assert "n_signals: 1" in text
         assert "fs=10" in text
 
-    def test_lenient_warnings(self, tmp_path, capsys):
-        blob = bytearray(tal_edf(10, ["Sleep stage W", "Sleep stage R"]))
-        blob[8] = 0xFF                   # patient
-        blob[236:244] = b"2 rec   "      # n_records
-        blob[480:496] = b"100     1 uV    "  # phys_max of signals 0 and 1
-        path = tmp_path / "sloppy.edf"
-        path.write_bytes(bytes(blob))
-        assert main(["inspect-edf", str(path), "--lenient"]) == 0
-        assert capsys.readouterr().err == (
-            "warning: field patient at offset 8: non-ASCII bytes replaced\n"
-            "warning: field n_records at offset 236: parsed '2' out of '2 rec'\n"
-            "warning: field signal 1 phys_max at offset 488: parsed '1' out of '1 uV'\n"
-        )
-
-    def test_lenient_output_encodes_as_ascii(self, tmp_path):
-        blob = bytearray(tal_edf(10, ["Sleep stage W"]))
-        blob[8] = 0xFF                   # patient
-        path = tmp_path / "sloppy.edf"
-        path.write_bytes(bytes(blob))
-        src = os.path.dirname(os.path.dirname(sst.cli.__file__))
-        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-m", "sst.cli", "inspect-edf", str(path), "--lenient"],
-                             env=env, capture_output=True, text=True, encoding="ascii")
-        assert run.returncode == 0, run.stderr
-        assert "patient: '?'\n" in run.stdout
-
     def test_prints_annotations(self, tmp_path, capsys):
         path = tmp_path / "night.edf"
         path.write_bytes(tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"]))
@@ -480,20 +460,76 @@ class TestInspectEdf:
         assert main(["inspect-edf", str(cut)]) == 2
         assert "offset" in capsys.readouterr().err
 
-    def test_lenient_repairs_sloppy_field(self, edf_file, tmp_path, capsys):
+    @pytest.mark.parametrize("field,at,raw", SLOPPY_FIELDS, ids=SLOPPY_IDS)
+    def test_sloppy_field_exits_two_naming_it(self, edf_file, tmp_path, capsys, field, at, raw):
         with open(edf_file, "rb") as fh:
             blob = bytearray(fh.read())
-        blob[236:244] = b" 900rec "  # n_records with trailing junk
+        blob[at : at + len(raw)] = raw
         sloppy = tmp_path / "sloppy.edf"
         sloppy.write_bytes(bytes(blob))
         assert main(["inspect-edf", str(sloppy)]) == 2
-        assert main(["inspect-edf", str(sloppy), "--lenient"]) == 0
         captured = capsys.readouterr()
-        assert "n_records: 900" in captured.out
-        assert "warning" in captured.err.lower()
+        assert captured.out == ""
+        assert field in captured.err and f"(offset {at})" in captured.err
+
+    def test_lenient_flag_is_a_usage_error(self, edf_file):
+        assert main(["inspect-edf", edf_file, "--lenient"]) == 1
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["inspect-edf", str(tmp_path / "absent.edf")]) == 2
+
+
+# a two-signal EDF+ night of four 30 s records at 10 Hz: a 768-byte header,
+# then per record 300 EEG samples and 32 samples (64 bytes) of TAL
+NIGHT = tal_edf(10, ["Sleep stage W", "Sleep stage 2", "Sleep stage R", "Sleep stage 2"])
+FIRST_TAL = 768 + 2 * 300
+
+# where a mutation lands: in the header, in the first record's TAL, or anywhere
+POSITIONS = st.one_of(st.integers(0, 767), st.integers(FIRST_TAL, FIRST_TAL + 63),
+                      st.integers(0, 2**16))
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), POSITIONS, st.integers(1, 255)),
+    st.tuples(st.just("insert"), POSITIONS, st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("delete"), POSITIONS, st.integers(1, 4)),
+)
+
+
+def mutate(blob, mutations, cut):
+    """blob with each (kind, position, arg) applied in turn, then cut short."""
+    for kind, at, arg in mutations:
+        at %= len(blob) + 1
+        if kind == "flip":
+            at %= len(blob)
+            blob = blob[:at] + bytes([blob[at] ^ arg]) + blob[at + 1:]
+        elif kind == "insert":
+            blob = blob[:at] + arg + blob[at:]
+        else:
+            blob = blob[:at] + blob[at + arg:]
+    if cut is not None:
+        blob = blob[: cut % (len(blob) + 1)]
+    return blob
+
+
+class TestEdfMutation:
+    """Whatever the bytes of an EDF+ night labelled by TAL, inspect-edf and
+    transfer end in an exit code."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=st.lists(MUTATIONS, max_size=3), cut=st.none() | st.integers(0, 2**16))
+    @example(mutations=[("flip", 448, 0xB5 ^ ord("u"))], cut=None)  # signal 0 phys_dim
+    @example(mutations=[("flip", FIRST_TAL + 2, 0x15 ^ ord("x"))], cut=None)  # TAL duration
+    def test_mutated_night_exits_with_a_code(self, config_path, tmp_path, mutations, cut):
+        data = tmp_path / "nights"
+        data.mkdir(exist_ok=True)
+        night = data / "night.edf"
+        night.write_bytes(mutate(NIGHT, mutations, cut))
+        eval_cfg = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {data}"), "eval.ini")
+        assert main(["inspect-edf", str(night)]) in {0, 1, 2, 3}
+        assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
+                     "--out", str(tmp_path / "tr"), "--resample-to", "10"]) in {0, 1, 2, 3}
 
 
 class TestVariance:
@@ -538,7 +574,7 @@ class TestSynth:
         labels = sorted(out.glob("*.labels"))
         assert len(edfs) == 4 and len(labels) == 4
         with open(edfs[0], "rb") as fh:
-            header, traces, _ = parse_edf(fh.read())
+            header, traces = parse_edf(fh.read())
         assert header.n_signals == 1
         assert len(traces[0].digital) == 30 * 30 * 10
         decoded = labels_from_text(labels[0].read_text())
@@ -559,6 +595,22 @@ class TestSynth:
         cfg.write_text(CONFIG.replace("source = synth",
                                       f"source = edf\npath = {tmp_path}"))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+# the exit code errors.py documents for each SstError
+EXIT_CODES = [(ConfigError, 1), (ContractError, 1), (DimensionError, 1),
+              (DataError, 2), (ParseError, 2), (NumericalError, 3)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", EXIT_CODES, ids=[e.__name__ for e, _ in EXIT_CODES])
+    def test_each_error_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(sst.cli, "cmd_inspect_edf", fail)
+        assert main(["inspect-edf", "night.edf"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestArgparse:

@@ -23,7 +23,7 @@ from sst.edf import (
 )
 from sst.errors import DataError, ParseError
 
-from conftest import tal_edf
+from conftest import SLOPPY_FIELDS, SLOPPY_IDS, tal_edf
 
 
 def one_signal_header(n_records=2, spr=3, duration=1.0):
@@ -75,8 +75,7 @@ class TestRoundTrip:
         header = one_signal_header()
         digital = [np.array([-100, 0, 100, 50, -50, 25], dtype=np.int16)]
         blob = write_edf(header, digital)
-        parsed, traces, warnings = parse_edf(blob)
-        assert warnings == []
+        parsed, traces = parse_edf(blob)
         assert parsed == header
         np.testing.assert_array_equal(traces[0].digital, digital[0])
         # hand-computed scalings: gain = 2/200 = 0.01, offset -1 at -100
@@ -89,7 +88,7 @@ class TestRoundTrip:
     def test_digital_min_maps_to_physical_min(self):
         header = one_signal_header(n_records=1)
         blob = write_edf(header, [np.array([-100, -100, -100], dtype=np.int16)])
-        _, traces, _ = parse_edf(blob)
+        _, traces = parse_edf(blob)
         np.testing.assert_allclose(traces[0].physical(0, 3), -1.0, atol=1e-15)
 
     def test_multi_signal_interleave(self, rng):
@@ -109,7 +108,7 @@ class TestRoundTrip:
         dig_a = rng.integers(-2048, 2048, size=9).astype(np.int16)
         dig_b = rng.integers(-512, 512, size=6).astype(np.int16)
         blob = write_edf(header, [dig_a, dig_b])
-        parsed, traces, _ = parse_edf(blob)
+        parsed, traces = parse_edf(blob)
         assert parsed == header
         np.testing.assert_array_equal(traces[0].digital, dig_a)
         np.testing.assert_array_equal(traces[1].digital, dig_b)
@@ -120,7 +119,7 @@ class TestRoundTrip:
         header = one_signal_header()
         digital = [np.arange(6, dtype=np.int16)]
         blob = write_edf(header, digital)
-        parsed, traces, _ = parse_edf(blob)
+        parsed, traces = parse_edf(blob)
         again = write_edf(parsed, [traces[0].digital])
         assert again == blob
 
@@ -194,7 +193,7 @@ class TestSignalTrace:
         blob = tal_edf(100, ["Sleep stage W"] * 200)
         tracemalloc.start()
         try:
-            _, traces, _ = parse_edf(blob)
+            _, traces = parse_edf(blob)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -242,10 +241,9 @@ class TestParseErrors:
     def test_record_duration_must_be_positive_and_finite(self, duration):
         blob = bytearray(self.blob())
         blob[244:252] = duration  # record_duration_s field
-        for strict in (True, False):
-            with pytest.raises(ParseError, match="record_duration_s") as err:
-                parse_edf(bytes(blob), strict=strict)
-            assert err.value.offset == 244
+        with pytest.raises(ParseError, match="record_duration_s") as err:
+            parse_edf(bytes(blob))
+        assert err.value.offset == 244
 
     @pytest.mark.parametrize("field,at,value", [
         ("phys_min", 360, b"nan     "),
@@ -255,10 +253,9 @@ class TestParseErrors:
     def test_physical_range_must_be_finite(self, field, at, value):
         blob = bytearray(self.blob())
         blob[at : at + 8] = value  # signal 0 phys_min at 256 + 16 + 80 + 8 = 360
-        for strict in (True, False):
-            with pytest.raises(ParseError, match=field) as err:
-                parse_edf(bytes(blob), strict=strict)
-            assert err.value.offset == at
+        with pytest.raises(ParseError, match=field) as err:
+            parse_edf(bytes(blob))
+        assert err.value.offset == at
 
     def test_physical_range_overflow(self):
         blob = bytearray(self.blob())
@@ -271,10 +268,9 @@ class TestParseErrors:
         blob = bytearray(self.blob())
         # phys 0..1e308 over dig 0..1: a stored 5 would map to 5e308
         blob[360:392] = b"0       1e308   0       1       "
-        for strict in (True, False):
-            with pytest.raises(ParseError, match="maps int16 samples outside float64") as err:
-                parse_edf(bytes(blob), strict=strict)
-            assert err.value.offset == 368
+        with pytest.raises(ParseError, match="maps int16 samples outside float64") as err:
+            parse_edf(bytes(blob))
+        assert err.value.offset == 368
 
     @settings(max_examples=300, deadline=None)
     @given(changes=st.lists(st.tuples(st.sampled_from(sorted(NUMERIC_FIELDS)), _NUMBERS),
@@ -291,40 +287,23 @@ class TestParseErrors:
             text = _field_text(value, width)
             assume(len(text) <= width)
             blob[at : at + width] = text.encode("ascii").ljust(width)
-        for strict in (True, False):
-            try:
-                _, traces, _ = parse_edf(bytes(blob), strict=strict)
-            except ParseError as exc:
-                assert exc.offset is not None
-                continue
-            for trace in traces:
-                assert 0 < trace.fs < math.inf
-                assert np.isfinite(trace.physical(0, len(trace.digital))).all()
+        try:
+            _, traces = parse_edf(bytes(blob))
+        except ParseError as exc:
+            assert exc.offset is not None
+            return
+        for trace in traces:
+            assert 0 < trace.fs < math.inf
+            assert np.isfinite(trace.physical(0, len(trace.digital))).all()
 
-    def test_lenient_repairs_padded_numeric(self):
+    @pytest.mark.parametrize("field,at,raw", SLOPPY_FIELDS, ids=SLOPPY_IDS)
+    def test_sloppy_field_is_refused_at_its_offset(self, field, at, raw):
         blob = bytearray(self.blob())
-        blob[236:244] = b"2 rec   "  # n_records field
-        with pytest.raises(ParseError):
+        blob[at : at + len(raw)] = raw
+        with pytest.raises(ParseError) as err:
             parse_edf(bytes(blob))
-        _, _, warnings = parse_edf(bytes(blob), strict=False)
-        assert any("n_records" in w for w in warnings)
-
-    def test_lenient_replaces_non_ascii(self):
-        blob = bytearray(self.blob())
-        blob[8] = 0xFF  # patient field
-        with pytest.raises(ParseError):
-            parse_edf(bytes(blob))
-        _, _, warnings = parse_edf(bytes(blob), strict=False)
-        assert any("patient" in w for w in warnings)
-
-    def test_lenient_field_stays_ascii_and_writable(self):
-        blob = bytearray(self.blob())
-        blob[8] = 0xFF    # first byte of patient "X F X X"
-        blob[10] = 0x80
-        header, traces, _ = parse_edf(bytes(blob), strict=False)
-        assert header.patient == "? ? X X"
-        blob[8] = blob[10] = ord("?")
-        assert write_edf(header, [trace.digital for trace in traces]) == bytes(blob)
+        assert err.value.offset == at
+        assert field in str(err.value) and f"(offset {at})" in str(err.value)
 
 
 class TestTal:
@@ -381,12 +360,12 @@ class TestTal:
 
 class TestAnnotationHypnogram:
     def test_decodes_the_annotation_signal(self):
-        _, traces, _ = parse_edf(tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"]))
+        _, traces = parse_edf(tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"]))
         hyp = annotation_hypnogram(traces)
         assert hyp.entries == [(0.0, 30.0, 0), (30.0, 30.0, None), (60.0, 30.0, 4)]
 
     def test_none_without_annotation_signal(self):
-        _, traces, _ = parse_edf(write_edf(one_signal_header(), [np.zeros(6, dtype=np.int16)]))
+        _, traces = parse_edf(write_edf(one_signal_header(), [np.zeros(6, dtype=np.int16)]))
         assert annotation_hypnogram(traces) is None
 
 

@@ -4,8 +4,8 @@ Every operation appends a node to an implicit tape: the node records one
 edge per input (the node that produced it, or the leaf tensor itself) and a
 backward rule, and carries a monotonically increasing sequence number.
 Because inputs always exist before the node that consumes them, processing
-nodes in decreasing sequence order is a valid reverse topological sweep, so
-``backward`` visits each node exactly once.
+nodes in decreasing sequence order is a valid reverse topological sweep;
+``backward`` pops them off one max-heap, so it visits each node exactly once.
 
 A recorded op keeps only what its backward rule reads: the arrays the rule
 multiplies by (matmul and mul operands, softmax output, layernorm's
@@ -23,6 +23,7 @@ as it has been pushed to the node's inputs.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 from typing import Callable, Sequence
 
@@ -503,48 +504,31 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    # Reachable sweep in decreasing tape order: every consumer of a tensor has
-    # a higher sequence number than its producer, so each node is processed
-    # after its output gradient is complete. Gradients are keyed by edge: the
-    # producing node, or the leaf tensor itself. Edges are told apart by
-    # `type(e) is Tensor`, which holds while `Node` is rebound by a tracer.
+    # Gradients are keyed by edge: the producing node, or the leaf tensor itself
+    # (`type(e) is Tensor` holds while a tracer rebinds `Node`). A node enters the
+    # heap on -seq when it first gets a gradient; every consumer has a higher seq
+    # than its producers, so it is popped with its gradient complete, summed in
+    # decreasing tape order.
     root = loss if loss.node is None else loss.node
-    nodes: dict[int, Node] = {}
-    leaves: dict[int, Tensor] = {}
-    stack = [root]
-    seen = {id(root)}
-    while stack:
-        e = stack.pop()
-        if type(e) is Tensor:
-            leaves[id(e)] = e
-            continue
-        nodes[e.seq] = e
-        for inp in e.edges:
-            if inp is not None and id(inp) not in seen:
-                seen.add(id(inp))
-                stack.append(inp)
-
     acc: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
-    for seq in sorted(nodes, reverse=True):
-        node = nodes[seq]
-        g_out = acc.pop(id(node), None)
-        if g_out is None:
-            continue
-        grads = node.backward_rule(g_out)
+    leaves = [root] if type(root) is Tensor else []
+    heap = [] if leaves else [(-root.seq, root)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        grads = node.backward_rule(acc.pop(id(node)))
         for inp, g in zip(node.edges, grads):
             if g is None or inp is None:
                 continue
             key = id(inp)
             if key in acc:
                 acc[key] = acc[key] + g
+                continue
+            acc[key] = g
+            if type(inp) is Tensor:
+                leaves.append(inp)
             else:
-                acc[key] = g
+                heapq.heappush(heap, (-inp.seq, inp))
 
-    for key, t in leaves.items():
-        g = acc.get(key)
-        if g is None:
-            continue
-        if t.grad is None:
-            t.grad = np.array(g, dtype=np.float64)
-        else:
-            t.grad = t.grad + g
+    for t in leaves:
+        g = acc[id(t)]
+        t.grad = np.array(g, dtype=np.float64) if t.grad is None else t.grad + g

@@ -128,6 +128,9 @@ def cmd_variance(args) -> int:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    if run.data.source == "edf" and not run.data.test_path:
+        raise ConfigError("variance on EDF data needs [data] test_path: its test nights "
+                          "must not be the training nights at [data] path")
     store = load_store(run.data, run.model, role="train")
     test_store = load_store(run.data, run.model, role="test")
     results = variance_experiment(store, test_store, run.train, run.model,

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossConfig, total_loss
-from .metrics import MetricsReport, evaluate_metrics
+from .metrics import EPOCH_S, MetricsReport, evaluate_metrics
 from .model import ModelConfig, ModelParams, cnn_block_forward, fuse, sst_forward
 from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 from .sampling import (
@@ -67,12 +67,31 @@ class TrainConfig:
 
 @dataclass
 class RunSummary:
-    best_val_metric: float | None
-    best_step: int
-    stopped_early: bool
-    steps_trained: int
+    """A run's validation history and the report of its best validation.
+
+    The best validation is the first entry of history with the highest
+    macro-F1; best_step, best_val_metric and stopped_early are read off it.
+    """
     history: list            # one dict per validation: step, val_loss, macro_f1, accuracy, kappa
-    final_report: MetricsReport | None
+    patience: int
+    steps_trained: int = 0
+    final_report: MetricsReport | None = None
+
+    def _best(self) -> int:
+        return max(range(len(self.history)), key=lambda k: self.history[k]["macro_f1"])
+
+    @property
+    def best_step(self) -> int:
+        return self.history[self._best()]["step"] if self.history else 0
+
+    @property
+    def best_val_metric(self) -> float | None:
+        return float(self.history[self._best()]["macro_f1"]) if self.history else None
+
+    @property
+    def stopped_early(self) -> bool:
+        """The validations since the best reached patience."""
+        return bool(self.history) and len(self.history) - 1 - self._best() >= self.patience
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +120,15 @@ def split_subjects(store: EpochStore, val_fraction: float, rng: np.random.Genera
                 for k, (subject, first, end) in enumerate(spans) if (k in val_set) == keep]
 
     return EpochStore(parts(False)), EpochStore(parts(True))
+
+
+def check_epoch_length(store: EpochStore, model_cfg: ModelConfig, role: str) -> None:
+    """A ConfigError unless the store's epochs are the (1, T) the model takes at its fs."""
+    if store.signals.shape[1:] != (1, model_cfg.T):
+        raise ConfigError(
+            f"{role} epochs are {store.signals.shape[1:]} but the model takes (1, {model_cfg.T}): "
+            f"{EPOCH_S} s at fs = {model_cfg.fs} Hz; resample the data to {model_cfg.fs} Hz first"
+        )
 
 
 def sequential_windows(store: EpochStore, S: int) -> np.ndarray:
@@ -178,8 +206,10 @@ def train_step(params: ModelParams, adam: AdamState, batch: PairBatch, cfg: Trai
 def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
     """Train with paired batches; return (best params, RunSummary).
 
-    The checkpoint returned is the one with the best validation macro-F1.
+    The params returned are those of the best validation macro-F1, or the
+    final ones when the run never validated.
     """
+    check_epoch_length(store, model_cfg, "training")
     root = np.random.SeedSequence(cfg.seed)
     split_seq, init_seq, sampler_seq = root.spawn(3)
     store_train, store_val = split_subjects(store, cfg.val_fraction, np.random.default_rng(split_seq))
@@ -190,67 +220,40 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
 
     adam = AdamState(params.params())
     memory = SamplingMemory()
-    history: list[dict] = []
-    best_metric = -math.inf
-    best_step = 0
-    best_params: ModelParams | None = None   # set at the first improvement, else at the end
-    best_report: MetricsReport | None = None
-    bad_streak = 0
-    stopped_early = False
-    steps_trained = 0
+    summary = RunSummary(history=[], patience=cfg.patience)
+    best_params = params   # the live params until the first validation
 
     for step in range(1, cfg.max_steps + 1):
         batch = draw_pair_batch(store_train, memory, cfg.batch_size, model_cfg.S, sampler_rng,
                                 p0=cfg.p0, mode=cfg.sampling_mode)
         train_step(params, adam, batch, cfg, model_cfg, step)
-        steps_trained = step
+        summary.steps_trained = step
+        if step % cfg.validate_every:
+            continue
 
-        if step % cfg.validate_every == 0:
-            # looked up per call, so a patched or traced sst.training.validate runs here
-            val_loss, report = validate(params, store_val, cfg, model_cfg)
-            if not math.isfinite(val_loss):
-                raise NumericalError(f"non-finite validation loss at step {step}")
-            update_memory(memory, batch, val_loss)
-            history.append({
-                "step": step,
-                "val_loss": float(val_loss),
-                "macro_f1": report.macro_f1,
-                "accuracy": report.accuracy,
-                "kappa": report.kappa,
-            })
-            if report.macro_f1 > best_metric:
-                best_metric = report.macro_f1
-                best_step = step
-                best_params = params.copy()
-                best_report = report
-                bad_streak = 0
-            else:
-                bad_streak += 1
-                if bad_streak >= cfg.patience:
-                    stopped_early = True
-                    break
-
-    summary = RunSummary(
-        best_val_metric=None if best_report is None else float(best_metric),
-        best_step=best_step,
-        stopped_early=stopped_early,
-        steps_trained=steps_trained,
-        history=history,
-        final_report=best_report,
-    )
-    if best_report is None:
-        best_params = params.copy()
+        # looked up per call, so a patched or traced sst.training.validate runs here
+        val_loss, report = validate(params, store_val, cfg, model_cfg)
+        if not math.isfinite(val_loss):
+            raise NumericalError(f"non-finite validation loss at step {step}")
+        update_memory(memory, batch, val_loss)
+        summary.history.append({
+            "step": step,
+            "val_loss": float(val_loss),
+            "macro_f1": report.macro_f1,
+            "accuracy": report.accuracy,
+            "kappa": report.kappa,
+        })
+        if summary.best_step == step:
+            best_params, summary.final_report = params.copy(), report
+        elif summary.stopped_early:
+            break
     return best_params, summary
 
 
 def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainConfig,
                       model_cfg: ModelConfig) -> MetricsReport:
     """Pure inference over a test store; no fine-tuning, no updates."""
-    if store_test.signals.shape[1:] != (1, model_cfg.T):
-        raise ConfigError(
-            f"test epochs are {store_test.signals.shape[1:]} but the checkpoint expects "
-            f"(1, {model_cfg.T}); resample the data to {model_cfg.fs} Hz first"
-        )
+    check_epoch_length(store_test, model_cfg, "test")
     windows = _full_windows(store_test, model_cfg.S, "test")
     loss, report = _infer_batches(params, store_test, windows, model_cfg, cfg.batch_size, cfg.loss)
     if not math.isfinite(loss):

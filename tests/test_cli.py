@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sst.cli
+import sst.training
 from sst.checkpoint import save_checkpoint
 from sst.cli import main
-from sst.config import load_run_config
+from sst.config import RunConfig, load_run_config
 from sst.edf import parse_edf
 from sst.errors import (
     ConfigError,
@@ -22,6 +23,7 @@ from sst.errors import (
     DimensionError,
     NumericalError,
     ParseError,
+    SstError,
 )
 from sst.ingest import labels_from_text
 from sst.model import ModelParams
@@ -210,6 +212,20 @@ class TestTrain:
                                                      f"source = edf\npath = {edf_dir}"))
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"{sidecar}: label sidecar line 3 is not ASCII (offset 4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "variance"])
+    def test_data_at_another_rate_exits_one(self, tmp_path, capsys, command):
+        edf_dir = str(tmp_path / "edf20")
+        fast = write_config(tmp_path, CONFIG.replace("fs = 10", "fs = 20"), "fast.ini")
+        assert main(["synth", "--config", fast, "--out", edf_dir]) == 0
+        capsys.readouterr()
+        path = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {edf_dir}\ntest_path = {edf_dir}"))
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: training epochs are (1, 600) but the model takes (1, 300): 30 s at "
+            "fs = 10 Hz; resample the data to 10 Hz first\n")
+        assert not os.path.exists(tmp_path / "o")
 
     def test_seed_flag_changes_run(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
@@ -488,20 +504,30 @@ FIRST_TAL = 768 + 2 * 300
 POSITIONS = st.one_of(st.integers(0, 767), st.integers(FIRST_TAL, FIRST_TAL + 63),
                       st.integers(0, 2**16))
 
-MUTATIONS = st.one_of(
-    st.tuples(st.just("flip"), POSITIONS, st.integers(1, 255)),
-    st.tuples(st.just("insert"), POSITIONS, st.binary(min_size=1, max_size=4)),
-    st.tuples(st.just("delete"), POSITIONS, st.integers(1, 4)),
-)
+
+def mutations_at(positions):
+    """A flip, insert or delete at a position drawn from positions."""
+    return st.one_of(
+        st.tuples(st.just("flip"), positions, st.integers(1, 255)),
+        st.tuples(st.just("insert"), positions, st.binary(min_size=1, max_size=4)),
+        st.tuples(st.just("delete"), positions, st.integers(1, 4)),
+    )
+
+
+MUTATIONS = mutations_at(POSITIONS)
+ANYWHERE = mutations_at(st.integers(0, 2**16))
+CUT = st.none() | st.integers(0, 2**16)
 
 
 def mutate(blob, mutations, cut):
-    """blob with each (kind, position, arg) applied in turn, then cut short."""
+    """blob with each (kind, position, arg) applied in turn, then cut short;
+    a flip in an empty blob does nothing."""
     for kind, at, arg in mutations:
         at %= len(blob) + 1
         if kind == "flip":
-            at %= len(blob)
-            blob = blob[:at] + bytes([blob[at] ^ arg]) + blob[at + 1:]
+            if blob:
+                at %= len(blob)
+                blob = blob[:at] + bytes([blob[at] ^ arg]) + blob[at + 1:]
         elif kind == "insert":
             blob = blob[:at] + arg + blob[at:]
         else:
@@ -517,7 +543,7 @@ class TestEdfMutation:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutations=st.lists(MUTATIONS, max_size=3), cut=st.none() | st.integers(0, 2**16))
+    @given(mutations=st.lists(MUTATIONS, max_size=3), cut=CUT)
     @example(mutations=[("flip", 448, 0xB5 ^ ord("u"))], cut=None)  # signal 0 phys_dim
     @example(mutations=[("flip", FIRST_TAL + 2, 0x15 ^ ord("x"))], cut=None)  # TAL duration
     def test_mutated_night_exits_with_a_code(self, config_path, tmp_path, mutations, cut):
@@ -530,6 +556,49 @@ class TestEdfMutation:
         assert main(["inspect-edf", str(night)]) in {0, 1, 2, 3}
         assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
                      "--out", str(tmp_path / "tr"), "--resample-to", "10"]) in {0, 1, 2, 3}
+
+
+# labels for the four records of NIGHT, one of W123R per line
+SIDECAR = b"W\n2\nR\n2\n"
+
+
+class TestSidecarMutation:
+    """Whatever the bytes of a night's label sidecar, transfer ends in an exit code."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=st.lists(ANYWHERE, max_size=3), cut=CUT)
+    @example(mutations=[("flip", 0, ord("W") ^ 0xB5)], cut=None)  # a non-ASCII label
+    @example(mutations=[("insert", 0, b"W\n")], cut=None)         # more labels than records
+    def test_mutated_sidecar_exits_with_a_code(self, config_path, tmp_path, mutations, cut):
+        data = tmp_path / "nights"
+        data.mkdir(exist_ok=True)
+        (data / "night.edf").write_bytes(NIGHT)
+        (data / "night.labels").write_bytes(mutate(SIDECAR, mutations, cut))
+        eval_cfg = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {data}"), "eval.ini")
+        assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
+                     "--out", str(tmp_path / "tr")]) in {0, 1, 2, 3}
+
+
+class TestConfigMutation:
+    """Whatever the bytes of a run config, load_run_config returns a RunConfig
+    or raises an SstError. The configs are read, not run: a mutated one may
+    ask for any amount of data or steps."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=st.lists(ANYWHERE, max_size=3), cut=CUT)
+    @example(mutations=[("flip", CONFIG.index("A = 2") + 4, ord("2") ^ ord("0"))], cut=None)
+    @example(mutations=[("insert", 0, b"\xff")], cut=None)
+    def test_mutated_config_loads_or_raises(self, tmp_path, mutations, cut):
+        path = tmp_path / "run.ini"
+        path.write_bytes(mutate(CONFIG.encode("ascii"), mutations, cut))
+        try:
+            run = load_run_config(str(path))
+        except SstError:
+            return
+        assert isinstance(run, RunConfig)
 
 
 class TestVariance:
@@ -564,6 +633,35 @@ class TestVariance:
     def test_one_run_exits_one(self, config_path, tmp_path):
         assert main(["variance", "--config", config_path, "--runs", "1",
                      "--out", str(tmp_path / "v")]) == 1
+
+    def test_edf_data_scores_the_test_path_nights(self, config_path, tmp_path, monkeypatch):
+        train_dir, test_dir = tmp_path / "edf", tmp_path / "test"
+        assert main(["synth", "--config", config_path, "--out", str(train_dir)]) == 0
+        test_dir.mkdir()
+        (test_dir / "night.edf").write_bytes(NIGHT)
+        scored = []
+        real = sst.training.transfer_evaluate
+
+        def spy(params, store_test, cfg, model_cfg):
+            scored.append(store_test.subjects)
+            return real(params, store_test, cfg, model_cfg)
+
+        monkeypatch.setattr(sst.training, "transfer_evaluate", spy)
+        path = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {train_dir}\ntest_path = {test_dir}"))
+        assert main(["variance", "--config", path, "--runs", "2",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert scored == [["night"]] * 6   # 3 sampling modes x 2 runs
+
+    def test_edf_data_without_test_path_exits_one(self, config_path, tmp_path, capsys):
+        edf_dir = tmp_path / "edf"
+        assert main(["synth", "--config", config_path, "--out", str(edf_dir)]) == 0
+        path = write_config(tmp_path, CONFIG.replace("source = synth",
+                                                     f"source = edf\npath = {edf_dir}"))
+        assert main(["variance", "--config", path, "--runs", "2",
+                     "--out", str(tmp_path / "v")]) == 1
+        assert "needs [data] test_path" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "v")
 
 
 class TestSynth:

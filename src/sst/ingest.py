@@ -4,6 +4,7 @@ synthetic generator used for desk-scale runs (with its EDF export)."""
 
 from __future__ import annotations
 
+import functools
 import glob
 import itertools
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
+from scipy.special import i0
 
 from .edf import (
     ANNOTATION_LABEL,
@@ -42,6 +43,10 @@ DEFAULT_CLASS_FREQ_FRACTIONS = (0.02, 0.06, 0.11, 0.17, 0.23)
 MAX_RESAMPLE_FACTOR = 64
 # low-pass taps per polyphase branch: sizes the filter and the span margin
 TAPS_PER_PHASE = 64
+# Kaiser window shape of the resampling low-pass
+KAISER_BETA = 8.6
+# input samples one resampling chunk spans: bounds its buffers at about 1 MB
+CHUNK_INPUTS = 1 << 16
 
 
 def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> EpochStore:
@@ -188,14 +193,66 @@ def resample(samples: np.ndarray, fs: float, target_fs: float) -> np.ndarray:
     The low-pass is a Kaiser-windowed sinc, TAPS_PER_PHASE taps per phase,
     with each polyphase branch normalized to unit DC gain so constants pass
     through exactly. Output length is ceil(n * L / M); equal rates give a copy.
+
+    Output m is the sum over input n of x[n] * L*h[TAPS_PER_PHASE/2*L + m*M - n*L],
+    added up from zero in increasing n. Those are the sums of
+    scipy.signal.resample_poly(x, L, M, window=h), so for finite input the
+    bits are its bits too. Outputs m = r, r + L, r + 2L, ... share one
+    polyphase branch of h and step M inputs apart; each such class is summed
+    a chunk at a time, one multiply and one add per tap over the M
+    contiguous polyphase components of the chunk's input span.
     """
     L, M = _rate_ratio(fs, target_fs)
     if L == M:
         return samples.copy()
-    h = firwin(_filter_length(L), 1.0 / max(L, M), window=("kaiser", 8.6))
+    g = _resampling_filter(L, M) * L
+    n_in = len(samples)
+    n_out = -(-n_in * L // M)
+    out = np.empty(n_out)
+    chunk = max(1, CHUNK_INPUTS // M)
+    for r in range(min(L, n_out)):
+        # output r + L*i is the sum of taps[d] * x[base + M*i + d], d ascending
+        taps = g[r * M % L :: L][::-1]
+        base = TAPS_PER_PHASE // 2 + r * M // L - (len(taps) - 1)
+        count = -(-(n_out - r) // L)
+        for first in range(0, count, chunk):
+            size = min(chunk, count - first)
+            rows = size + -(-(len(taps) - 1) // M)
+            start = base + M * first
+            span = np.zeros(rows * M)
+            lo, hi = max(start, 0), min(start + rows * M, n_in)
+            if lo < hi:
+                span[lo - start : hi - start] = samples[lo:hi]
+            comps = np.ascontiguousarray(span.reshape(rows, M).T)
+            acc = np.zeros(size)
+            prod = np.empty(size)
+            for d, tap in enumerate(taps):
+                np.multiply(comps[d % M, d // M : d // M + size], tap, out=prod)
+                acc += prod
+            out[r + L * first : r + L * (first + size) : L] = acc
+    return out
+
+
+@functools.cache
+def _resampling_filter(L: int, M: int) -> np.ndarray:
+    """The low-pass for resampling by L/M, each polyphase branch scaled to a
+    sum of 1/L. Designed once per (L, M) and shared: a read-only array."""
+    h = _lowpass(_filter_length(L), 1.0 / max(L, M), KAISER_BETA)
     for p in range(L):
         h[p::L] /= L * h[p::L].sum()
-    return resample_poly(samples, L, M, window=h)
+    h.flags.writeable = False
+    return h
+
+
+def _lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
+    """Kaiser-windowed sinc low-pass of numtaps taps and cutoff relative to
+    Nyquist, scaled to unit DC gain; the taps of
+    scipy.signal.firwin(numtaps, cutoff, window=("kaiser", beta))."""
+    a = 0.5 * (numtaps - 1)
+    m = np.arange(numtaps) - a
+    window = i0(beta * np.sqrt(1 - (m / a) ** 2.0)) / i0(beta)
+    h = cutoff * np.sinc(cutoff * m) * window
+    return h / np.sum(h)
 
 
 def select_trace(traces: list[SignalTrace], label_match: str) -> SignalTrace:

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -709,6 +711,20 @@ class TestExitCodes:
         monkeypatch.setattr(sst.cli, "cmd_inspect_edf", fail)
         assert main(["inspect-edf", "night.edf"]) == code
         assert capsys.readouterr().err == "error: boom\n"
+
+
+class TestImports:
+    def test_cli_leaves_scipy_signal_unimported(self):
+        # a fresh interpreter: this test process has scipy.signal from the oracle tests
+        src = os.path.dirname(os.path.dirname(sst.cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        code = ("import sys, sst.cli; names = ('scipy.signal', 'sst.training', 'sst.ingest'); "
+                "print(*(name in sys.modules for name in names))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True", "True"]
 
 
 class TestArgparse:

@@ -1,8 +1,15 @@
 """Epoch slicing, resampling fidelity, label sidecars, and the synthetic
 dataset generator."""
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import firwin, resample_poly
 
 from sst import ingest
 from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
@@ -244,6 +251,84 @@ class TestResample:
     def test_irrational_ratio_rejected(self, rng):
         with pytest.raises(ConfigError):
             resample(rng.standard_normal(100), 100, 100.0 * np.sqrt(2))
+
+
+COPRIME_PAIRS = [(L, M) for L in range(1, ingest.MAX_RESAMPLE_FACTOR + 1)
+                 for M in range(1, ingest.MAX_RESAMPLE_FACTOR + 1)
+                 if math.gcd(L, M) == 1 and L != M]
+
+
+@st.composite
+def resample_cases(draw):
+    """(L, M, n, chunk inputs): a rate ratio, and an input length that is 1,
+    below the filter's input span, one epoch at fs = M, or longer."""
+    L, M = draw(st.sampled_from(COPRIME_PAIRS))
+    n = draw(st.one_of(st.just(1), st.integers(2, 2 * ingest.TAPS_PER_PHASE),
+                       st.just(30 * M), st.integers(30 * M + 1, 4000)))
+    chunk = draw(st.sampled_from([ingest.CHUNK_INPUTS, 97]))
+    return L, M, n, chunk
+
+
+class TestResampleOracle:
+    """The numpy resampler against scipy.signal, bit for bit."""
+
+    def test_lowpass_is_firwin(self):
+        differ = []
+        for L, M in COPRIME_PAIRS:
+            numtaps = ingest._filter_length(L)
+            h = ingest._lowpass(numtaps, 1.0 / max(L, M), ingest.KAISER_BETA)
+            ref = firwin(numtaps, 1.0 / max(L, M), window=("kaiser", 8.6))
+            if h.tobytes() != ref.tobytes():
+                differ.append((L, M))
+        assert differ == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=resample_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(1, 2, 3000, ingest.CHUNK_INPUTS), seed=0)   # 200 -> 100 Hz, one epoch
+    @example(case=(4, 5, 3750, ingest.CHUNK_INPUTS), seed=1)   # 125 -> 100 Hz, one epoch
+    @example(case=(5, 4, 1, ingest.CHUNK_INPUTS), seed=2)      # 8 -> 10 Hz, one sample
+    @example(case=(64, 1, 3, 1), seed=3)                       # steepest upsampling
+    @example(case=(1, 64, 129, 1), seed=4)                     # steepest downsampling
+    def test_matches_resample_poly(self, case, seed):
+        L, M, n, chunk = case
+        x = np.random.default_rng(seed).standard_normal(n) * 100.0
+        x[: n // 3] = np.round(x[: n // 3])   # whole digital steps, zeros among them
+        with mock.patch.object(ingest, "CHUNK_INPUTS", chunk):
+            out = resample(x, M, L)
+        ref = resample_poly(x, L, M, window=ingest._resampling_filter(L, M))
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fs,target", [(200, 100), (125, 100), (100, 125)])
+    def test_long_night_matches_resample_poly(self, fs, target, rng):
+        # several chunks per phase class at the real chunk size
+        x = rng.standard_normal(5 * ingest.CHUNK_INPUTS + 17) * 50.0
+        L, M = ingest._rate_ratio(fs, target)
+        ref = resample_poly(x, L, M, window=ingest._resampling_filter(L, M))
+        assert resample(x, fs, target).tobytes() == ref.tobytes()
+
+    def test_memory_peak(self, rng):
+        # 2 M samples at 200 -> 100 Hz: the output plus a few chunk buffers
+        x = rng.standard_normal(2_000_000)
+        resample(x[:1000], 200, 100.0)
+        tracemalloc.start()
+        try:
+            out = resample(x, 200, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
+
+    def test_filter_designed_once_per_ratio(self, rng, monkeypatch):
+        ingest._resampling_filter.cache_clear()
+        designs = []
+        lowpass = ingest._lowpass
+        monkeypatch.setattr(ingest, "_lowpass",
+                            lambda *args: designs.append(args) or lowpass(*args))
+        trace = trace_of(rng, 9 * 30 * 125, fs=125)
+        epoch_and_label(trace, PATTERNS["inner_runs"], 100.0)
+        assert len(designs) == 1
+        h = ingest._resampling_filter(4, 5)
+        assert h is ingest._resampling_filter(4, 5) and not h.flags.writeable
 
 
 class TestLabelSidecar:

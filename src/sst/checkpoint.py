@@ -8,6 +8,7 @@ little-endian, so a save/load round trip is bit exact.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import struct
@@ -45,12 +46,18 @@ def save_checkpoint(path: str, params: ModelParams) -> None:
         chunks.append(struct.pack("<I", tensor.ndim))
         chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    # written beside the target and renamed over it, so an interrupted save
-    # leaves the previous checkpoint whole
+    with replacing(path, "wb") as fh:
+        fh.write(b"".join(chunks))
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str, encoding: str | None = None):
+    """A file opened beside path and renamed over it once the block completes,
+    so an interrupted or failed write leaves the previous file whole."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -13,8 +13,8 @@ import os
 import sys
 import time
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_run_config, resolve_seed
+from .checkpoint import load_checkpoint, replacing, save_checkpoint
+from .config import load_run_config
 from .edf import annotation_hypnogram, parse_edf
 from .errors import ConfigError, SstError
 from .ingest import export_edf, load_store
@@ -45,7 +45,7 @@ def format_variance_table(results: dict) -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with replacing(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -59,7 +59,8 @@ def _metrics_payload(report: MetricsReport, history: list) -> dict:
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     run.check_sequence_length(run.model.S, "[model] S")
-    run.train.seed = resolve_seed(run.train.seed, args.seed)
+    if args.seed is not None:
+        run.train.seed = args.seed
     store = load_store(run.data, run.model, role="train")
     params, summary = train(store, run.train, run.model)
 
@@ -85,7 +86,10 @@ def cmd_transfer(args) -> int:
     params = load_checkpoint(args.checkpoint)
     run = load_run_config(args.config)
     run.check_sequence_length(params.config.S, "the checkpoint's S")
-    store = load_store(run.data, params.config, role="test", resample_to=args.resample_to)
+    if args.resample_to is not None and args.resample_to != params.config.fs:
+        raise ConfigError(f"--resample-to {args.resample_to:g} must equal the checkpoint's "
+                          f"fs = {params.config.fs}: test data is read at that rate")
+    store = load_store(run.data, params.config, role="test")
     report = transfer_evaluate(params, store, run.train, params.config)
 
     os.makedirs(args.out, exist_ok=True)
@@ -121,7 +125,8 @@ def cmd_inspect_edf(args) -> int:
 def cmd_variance(args) -> int:
     run = load_run_config(args.config)
     run.check_sequence_length(run.model.S, "[model] S")
-    run.train.seed = resolve_seed(run.train.seed, args.seed)
+    if args.seed is not None:
+        run.train.seed = args.seed
     seeds = None
     if args.seeds:
         try:
@@ -163,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="run config file")
     p_train.add_argument("--out", default="run", help="output directory")
     p_train.add_argument("--seed", type=int, default=None,
-                         help="override the config and SST_SEED seed")
+                         help="override the config's [train] seed")
     p_train.set_defaults(func=cmd_train)
 
     p_transfer = sub.add_parser("transfer", help="evaluate a checkpoint on test data")
@@ -171,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer.add_argument("--config", required=True, help="run config with the test data")
     p_transfer.add_argument("--out", default="transfer", help="output directory")
     p_transfer.add_argument("--resample-to", type=float, default=None,
-                            help="resample test signals to this rate first")
+                            help="the checkpoint's fs, restated; data is read at it")
     p_transfer.set_defaults(func=cmd_transfer)
 
     p_inspect = sub.add_parser("inspect-edf", help="print an EDF file's structure")

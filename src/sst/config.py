@@ -133,16 +133,3 @@ def load_run_config(path: str) -> RunConfig:
     train = TrainConfig(loss=LossConfig(**loss_kwargs), **train_kwargs)
     return RunConfig(data=data, model=model, train=train, seq_len=seq_len)
 
-
-def resolve_seed(config_seed: int, flag_seed: int | None) -> int:
-    """Precedence: config file < SST_SEED environment variable < --seed flag."""
-    seed = config_seed
-    env = os.environ.get("SST_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"SST_SEED must be an integer, got {env!r}") from None
-    if flag_seed is not None:
-        seed = flag_seed
-    return seed

@@ -49,13 +49,12 @@ KAISER_BETA = 8.6
 CHUNK_INPUTS = 1 << 16
 
 
-def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> EpochStore:
+def load_edf_store(path: str, channel: str, fs: float) -> EpochStore:
     """Build an EpochStore from one EDF file or a directory of them.
 
     Labels come from a '<stem>.labels' sidecar when present, otherwise from
-    the file's own TAL annotation signal. With target_fs, the epochs are
-    those of the channel resampled to that rate; only labelled epochs are
-    resampled.
+    the file's own TAL annotation signal. The epochs are those of the channel
+    resampled to fs; only labelled epochs are resampled.
     """
     if os.path.isdir(path):
         files = sorted(glob.glob(os.path.join(path, "*.edf")))
@@ -66,20 +65,19 @@ def load_edf_store(path: str, channel: str, target_fs: float | None = None) -> E
     if not files:
         raise DataError(f"no .edf files under {path}")
 
-    nights = [_load_night(filename, channel, target_fs) for filename in files]
+    nights = [_load_night(filename, channel, fs) for filename in files]
     total_dropped = sum(dropped for _, dropped in nights)
     if total_dropped:
         print(f"dropped {total_dropped} epochs without a fully covering stage", file=sys.stderr)
     return EpochStore([part for part, _ in nights])
 
 
-def _load_night(filename: str, channel: str, target_fs: float | None):
+def _load_night(filename: str, channel: str, fs: float):
     """((subject, signals, labels), dropped) of one EDF file, as load_edf_store
     reads it; the parsed file is freed on return."""
     with open(filename, "rb") as fh:
         _, traces = parse_edf(fh.read())
     trace = select_trace(traces, channel)
-    fs = trace.fs if target_fs is None else target_fs
     subject = os.path.splitext(os.path.basename(filename))[0]
 
     sidecar = os.path.splitext(filename)[0] + ".labels"
@@ -99,10 +97,9 @@ def _load_night(filename: str, channel: str, target_fs: float | None):
     return (subject, signals, [stage for stage in stages if stage is not None]), dropped
 
 
-def load_store(data: DataConfig, model: ModelConfig, role: str,
-               resample_to: float | None = None) -> EpochStore:
+def load_store(data: DataConfig, model: ModelConfig, role: str) -> EpochStore:
     """The train or test EpochStore a run config describes: synthetic, or
-    EDF files resampled to resample_to when given."""
+    EDF files resampled to the model's fs."""
     if data.source == "synth":
         if role == "test":
             rng = np.random.default_rng(data.test_seed)
@@ -112,7 +109,7 @@ def load_store(data: DataConfig, model: ModelConfig, role: str,
         return synth_dataset(data.subjects, data.epochs, fs=model.fs,
                              noise_sd=data.noise_sd, rng=rng)
     path = data.test_path if role == "test" and data.test_path else data.path
-    return load_edf_store(path, data.channel, target_fs=resample_to)
+    return load_edf_store(path, data.channel, model.fs)
 
 
 def epoch_and_label(trace: SignalTrace, stages: list, fs: float):

@@ -5,14 +5,14 @@ transfer/variance evaluation harnesses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossConfig, total_loss
-from .metrics import EPOCH_S, MetricsReport, evaluate_metrics
+from .metrics import MetricsReport, evaluate_metrics
 from .model import ModelConfig, ModelParams, cnn_block_forward, fuse, sst_forward
 from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 from .sampling import (
@@ -122,15 +122,6 @@ def split_subjects(store: EpochStore, val_fraction: float, rng: np.random.Genera
     return EpochStore(parts(False)), EpochStore(parts(True))
 
 
-def check_epoch_length(store: EpochStore, model_cfg: ModelConfig, role: str) -> None:
-    """A ConfigError unless the store's epochs are the (1, T) the model takes at its fs."""
-    if store.signals.shape[1:] != (1, model_cfg.T):
-        raise ConfigError(
-            f"{role} epochs are {store.signals.shape[1:]} but the model takes (1, {model_cfg.T}): "
-            f"{EPOCH_S} s at fs = {model_cfg.fs} Hz; resample the data to {model_cfg.fs} Hz first"
-        )
-
-
 def sequential_windows(store: EpochStore, S: int) -> np.ndarray:
     """(W, S) record ids of the non-overlapping stride-S windows per subject, in store order."""
     return store.window_starts(S, S)[:, None] + np.arange(S)
@@ -209,7 +200,6 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
     The params returned are those of the best validation macro-F1, or the
     final ones when the run never validated.
     """
-    check_epoch_length(store, model_cfg, "training")
     root = np.random.SeedSequence(cfg.seed)
     split_seq, init_seq, sampler_seq = root.spawn(3)
     store_train, store_val = split_subjects(store, cfg.val_fraction, np.random.default_rng(split_seq))
@@ -253,7 +243,6 @@ def train(store: EpochStore, cfg: TrainConfig, model_cfg: ModelConfig):
 def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainConfig,
                       model_cfg: ModelConfig) -> MetricsReport:
     """Pure inference over a test store; no fine-tuning, no updates."""
-    check_epoch_length(store_test, model_cfg, "test")
     windows = _full_windows(store_test, model_cfg.S, "test")
     loss, report = _infer_batches(params, store_test, windows, model_cfg, cfg.batch_size, cfg.loss)
     if not math.isfinite(loss):
@@ -279,7 +268,7 @@ def variance_experiment(store_train: EpochStore, store_test: EpochStore, cfg: Tr
     for mode in SAMPLING_MODES:
         runs = []
         for seed in seeds:
-            run_cfg = TrainConfig(**{**cfg.__dict__, "seed": seed, "sampling_mode": mode})
+            run_cfg = replace(cfg, seed=seed, sampling_mode=mode)
             best_params, _ = train(store_train, run_cfg, model_cfg)
             report = transfer_evaluate(best_params, store_test, run_cfg, model_cfg)
             runs.append({

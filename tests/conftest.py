@@ -62,3 +62,18 @@ def tal_edf(fs, stage_texts):
     )
     ramp = np.arange(len(stage_texts) * T) % 2000 - 1000
     return write_edf(header, [ramp, np.frombuffer(tal, dtype="<i2")])
+
+
+def write_sidecar_edf(base, fs, digital, labels_text):
+    """One-channel EDF of 1 s records at fs, plus its '.labels' sidecar."""
+    sig = EdfSignalHeader(
+        label="EEG Fpz-Cz", transducer="", phys_dim="uV", phys_min=-100.0, phys_max=100.0,
+        dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=fs,
+    )
+    header = EdfHeader(
+        version="0", patient="X", recording="X", start_date="01.01.00",
+        start_time="00.00.00", header_bytes=512, reserved="", n_records=len(digital) // fs,
+        record_duration_s=1.0, n_signals=1, signals=[sig],
+    )
+    base.with_suffix(".edf").write_bytes(write_edf(header, [digital]))
+    base.with_suffix(".labels").write_text(labels_text)

@@ -27,10 +27,10 @@ from sst.errors import (
     ParseError,
     SstError,
 )
-from sst.ingest import labels_from_text
+from sst.ingest import labels_from_text, load_edf_store
 from sst.model import ModelParams
 
-from conftest import SLOPPY_FIELDS, SLOPPY_IDS, tal_edf
+from conftest import SLOPPY_FIELDS, SLOPPY_IDS, tal_edf, write_sidecar_edf
 
 CONFIG = """\
 [data]
@@ -100,6 +100,18 @@ def config_path(tmp_path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def sidecar_nights(out_dir, fs, seed=0):
+    """Four sidecar-labelled nights of eight epochs of noise at fs Hz, as a
+    directory path."""
+    out_dir.mkdir()
+    rng = np.random.default_rng(seed)
+    for k in range(4):
+        digital = rng.integers(-30000, 30000, size=8 * 30 * fs, dtype=np.int16)
+        labels = "".join(f"{'W123R'[y]}\n" for y in rng.integers(0, 5, size=8))
+        write_sidecar_edf(out_dir / f"night{k}", fs, digital, labels)
+    return str(out_dir)
 
 
 class TestTrain:
@@ -215,19 +227,18 @@ class TestTrain:
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"{sidecar}: label sidecar line 3 is not ASCII (offset 4)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "variance"])
-    def test_data_at_another_rate_exits_one(self, tmp_path, capsys, command):
-        edf_dir = str(tmp_path / "edf20")
-        fast = write_config(tmp_path, CONFIG.replace("fs = 10", "fs = 20"), "fast.ini")
-        assert main(["synth", "--config", fast, "--out", edf_dir]) == 0
-        capsys.readouterr()
-        path = write_config(tmp_path, CONFIG.replace(
-            "source = synth", f"source = edf\npath = {edf_dir}\ntest_path = {edf_dir}"))
-        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            "error: training epochs are (1, 600) but the model takes (1, 300): 30 s at "
-            "fs = 10 Hz; resample the data to 10 Hz first\n")
-        assert not os.path.exists(tmp_path / "o")
+    @pytest.mark.parametrize("data_fs,fs", [(20, 10), (125, 100)])
+    def test_data_at_another_rate_is_read_at_fs(self, tmp_path, data_fs, fs):
+        edf_dir = sidecar_nights(tmp_path / "edf", data_fs)
+        path = write_config(tmp_path, CONFIG.replace("fs = 10", f"fs = {fs}").replace(
+            "source = synth", f"source = edf\npath = {edf_dir}"))
+        out = tmp_path / "o"
+        assert main(["train", "--config", path, "--out", str(out)]) == 0
+
+        run = load_run_config(path)
+        params, _ = sst.training.train(load_edf_store(edf_dir, "EEG", fs), run.train, run.model)
+        save_checkpoint(str(tmp_path / "api.ckpt"), params)
+        assert (out / "checkpoint.ckpt").read_bytes() == (tmp_path / "api.ckpt").read_bytes()
 
     def test_seed_flag_changes_run(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
@@ -238,15 +249,15 @@ class TestTrain:
         hist_b = read_json(os.path.join(out_b, "run_summary.json"))["history"]
         assert hist_a != hist_b
 
-    def test_env_seed_respected(self, config_path, tmp_path, monkeypatch):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        monkeypatch.setenv("SST_SEED", "12")
-        main(["train", "--config", config_path, "--out", out_a])
-        monkeypatch.delenv("SST_SEED")
-        main(["train", "--config", config_path, "--out", out_b, "--seed", "12"])
-        assert (read_json(os.path.join(out_a, "run_summary.json"))["history"]
-                == read_json(os.path.join(out_b, "run_summary.json"))["history"])
+    def test_seed_flag_zero_overrides_config(self, config_path, tmp_path):
+        out_flag = str(tmp_path / "flag")
+        out_file = str(tmp_path / "file")
+        assert main(["train", "--config", config_path, "--out", out_flag, "--seed", "0"]) == 0
+        zero = write_config(tmp_path, CONFIG.replace("seed = 11", "seed = 0"), "zero.ini")
+        assert main(["train", "--config", zero, "--out", out_file]) == 0
+        flag = read_json(os.path.join(out_flag, "run_summary.json"))
+        assert flag["seed"] == 0
+        assert flag["history"] == read_json(os.path.join(out_file, "run_summary.json"))["history"]
 
     def test_repeat_run_identical_outputs(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
@@ -301,24 +312,24 @@ class TestTransfer:
                      "--out", str(tmp_path / "tr")]) == 2
         assert "mangled.ckpt" in capsys.readouterr().err
 
-    def test_resample_to_matches_checkpoint_rate(self, config_path, tmp_path):
-        out = str(tmp_path / "out")
-        main(["train", "--config", config_path, "--out", out])
-        fast = CONFIG.replace("fs = 10", "fs = 20")
-        fast_path = tmp_path / "fast.ini"
-        fast_path.write_text(fast)
-        edf_dir = str(tmp_path / "edf20")
-        assert main(["synth", "--config", str(fast_path), "--out", edf_dir]) == 0
-
-        eval_cfg = tmp_path / "eval.ini"
-        eval_cfg.write_text(CONFIG.replace(
-            "source = synth", f"source = edf\npath = {edf_dir}"))
-        ckpt = os.path.join(out, "checkpoint.ckpt")
-        tr = str(tmp_path / "tr")
-        # without resampling the rates disagree -> config failure
-        assert main(["transfer", ckpt, "--config", str(eval_cfg), "--out", tr]) == 1
-        assert main(["transfer", ckpt, "--config", str(eval_cfg), "--out", tr,
+    def test_resample_to_matches_checkpoint_rate(self, config_path, tmp_path, capsys):
+        edf_dir = sidecar_nights(tmp_path / "edf20", 20)
+        eval_cfg = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {edf_dir}"), "eval.ini")
+        ckpt = random_checkpoint(config_path, tmp_path)
+        # the 20 Hz nights are read at the checkpoint's 10 Hz with or without the flag
+        assert main(["transfer", ckpt, "--config", eval_cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["transfer", ckpt, "--config", eval_cfg, "--out", str(tmp_path / "b"),
                      "--resample-to", "10"]) == 0
+        assert ((tmp_path / "a" / "metrics.json").read_bytes()
+                == (tmp_path / "b" / "metrics.json").read_bytes())
+        capsys.readouterr()
+        assert main(["transfer", ckpt, "--config", eval_cfg, "--out", str(tmp_path / "c"),
+                     "--resample-to", "20"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --resample-to 20 must equal the checkpoint's fs = 10: "
+            "test data is read at that rate\n")
+        assert not os.path.exists(tmp_path / "c")
 
     def test_seq_len_must_match_checkpoint_s(self, config_path, tmp_path, capsys):
         ckpt = random_checkpoint(config_path, tmp_path)
@@ -367,7 +378,8 @@ class TestTransfer:
             "source = synth", f"source = edf\npath = {edf_dir}"), "eval.ini")
         assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
                      "--out", str(tmp_path / "tr"), "--resample-to", rate]) == 1
-        assert "rates must be positive and finite" in capsys.readouterr().err
+        assert (f"--resample-to {rate} must equal the checkpoint's fs = 10"
+                in capsys.readouterr().err)
 
 
 def with_first_shape(blob, config_path, shape):
@@ -655,6 +667,21 @@ class TestVariance:
                      "--out", str(tmp_path / "v")]) == 0
         assert scored == [["night"]] * 6   # 3 sampling modes x 2 runs
 
+    def test_data_at_another_rate_is_read_at_fs(self, config_path, tmp_path):
+        train_dir = sidecar_nights(tmp_path / "edf20", 20)
+        test_dir = sidecar_nights(tmp_path / "edf10", 10, seed=1)
+        path = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {train_dir}\ntest_path = {test_dir}"))
+        out = tmp_path / "v"
+        assert main(["variance", "--config", path, "--runs", "2", "--out", str(out)]) == 0
+
+        run = load_run_config(path)
+        results = sst.training.variance_experiment(
+            load_edf_store(train_dir, "EEG", 10), load_edf_store(test_dir, "EEG", 10),
+            run.train, run.model, n_runs=2)
+        sst.cli._write_json(str(tmp_path / "api.json"), results)
+        assert (out / "variance.json").read_bytes() == (tmp_path / "api.json").read_bytes()
+
     def test_edf_data_without_test_path_exits_one(self, config_path, tmp_path, capsys):
         edf_dir = tmp_path / "edf"
         assert main(["synth", "--config", config_path, "--out", str(edf_dir)]) == 0
@@ -664,6 +691,18 @@ class TestVariance:
                      "--out", str(tmp_path / "v")]) == 1
         assert "needs [data] test_path" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "v")
+
+
+class TestWriteJson:
+    def test_failed_dump_leaves_previous_file_whole(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        sst.cli._write_json(str(path), {"macro_f1": 0.5})
+        before = path.read_bytes()
+        # json.dump writes the "a" entry before it meets the value it cannot encode
+        with pytest.raises(TypeError):
+            sst.cli._write_json(str(path), {"a": 1, "b": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["metrics.json"]
 
 
 class TestSynth:

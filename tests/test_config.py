@@ -1,12 +1,11 @@
-"""Run-config parsing: sections, keys, types, aliases, seed precedence."""
+"""Run-config parsing: sections, keys, types, aliases."""
 
-import os
 import pathlib
 import re
 
 import pytest
 
-from sst.config import load_run_config, resolve_seed
+from sst.config import load_run_config
 from sst.errors import ConfigError
 
 GOOD = """\
@@ -171,33 +170,3 @@ def test_readme_example_loads(tmp_path):
     assert run.model.S == 2
     assert run.seq_len is None
 
-
-class TestResolveSeed:
-    def setup_method(self):
-        self._saved = os.environ.pop("SST_SEED", None)
-
-    def teardown_method(self):
-        if self._saved is not None:
-            os.environ["SST_SEED"] = self._saved
-        else:
-            os.environ.pop("SST_SEED", None)
-
-    def test_file_value_alone(self):
-        assert resolve_seed(7, None) == 7
-
-    def test_env_overrides_file(self):
-        os.environ["SST_SEED"] = "21"
-        assert resolve_seed(7, None) == 21
-
-    def test_flag_overrides_env_and_file(self):
-        os.environ["SST_SEED"] = "21"
-        assert resolve_seed(7, 99) == 99
-
-    def test_flag_zero_counts_as_set(self):
-        os.environ["SST_SEED"] = "21"
-        assert resolve_seed(7, 0) == 0
-
-    def test_bad_env_value(self):
-        os.environ["SST_SEED"] = "lots"
-        with pytest.raises(ConfigError, match="SST_SEED"):
-            resolve_seed(7, None)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.signal import firwin, resample_poly
 
 from sst import ingest
-from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
+from sst.edf import EdfSignalHeader, Hypnogram, SignalTrace, parse_edf
 from sst.errors import ConfigError, DataError, ParseError
 from sst.metrics import EPOCH_S
 from sst.sampling import EpochStore
@@ -27,7 +27,7 @@ from sst.ingest import (
     synth_dataset,
 )
 
-from conftest import tal_edf
+from conftest import tal_edf, write_sidecar_edf
 
 
 def trace_of(rng, n, fs, label="EEG"):
@@ -141,7 +141,7 @@ class TestScoredSpanResampling:
         calls = []
         monkeypatch.setattr(ingest, "resample",
                             lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
-        store = load_edf_store(str(tmp_path), "EEG", target_fs=target)
+        store = load_edf_store(str(tmp_path), "EEG", target)
 
         np.testing.assert_array_equal(store.labels, [0, 1, 2, 3, 4, 4])
         assert store.signals.tobytes() == full[: 6 * 30 * target].tobytes()
@@ -150,14 +150,14 @@ class TestScoredSpanResampling:
     def test_sidecar_longer_than_signal_rejected(self, tmp_path):
         write_sidecar_edf(tmp_path / "a", 200, np.zeros(60 * 200, dtype=np.int16), "W\nW\nW\n")
         with pytest.raises(DataError, match="3 labels but only 2 epochs"):
-            load_edf_store(str(tmp_path), "EEG", target_fs=100)
+            load_edf_store(str(tmp_path), "EEG", 100)
 
 
 class TestTalLabels:
     def test_epochs_labelled_from_annotation_signal(self, tmp_path, capsys):
         blob = tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"])
         (tmp_path / "night.edf").write_bytes(blob)
-        store = load_edf_store(str(tmp_path), "EEG")
+        store = load_edf_store(str(tmp_path), "EEG", 10)
         np.testing.assert_array_equal(store.labels, [0, 4])
         eeg = parse_edf(blob)[1][0]
         kept = np.stack([eeg.physical(0, 300), eeg.physical(600, 900)])
@@ -167,7 +167,7 @@ class TestTalLabels:
     def test_all_dropped_night_adds_no_subject(self, tmp_path, capsys):
         (tmp_path / "a.edf").write_bytes(tal_edf(10, ["Sleep stage ?", "Movement time"]))
         (tmp_path / "b.edf").write_bytes(tal_edf(10, ["Sleep stage 1", "Sleep stage W"]))
-        store = load_edf_store(str(tmp_path), "EEG")
+        store = load_edf_store(str(tmp_path), "EEG", 10)
         assert store.spans() == [("b", 0, 2)]
         np.testing.assert_array_equal(store.labels, [1, 0])
         assert "dropped 2 epochs" in capsys.readouterr().err
@@ -177,7 +177,7 @@ class TestTalLabels:
         write_sidecar_edf(tmp_path / "a", 10, digital, "2\nR\n")
         blob = tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage 3"])
         (tmp_path / "b.edf").write_bytes(blob)
-        store = load_edf_store(str(tmp_path), "EEG")
+        store = load_edf_store(str(tmp_path), "EEG", 10)
 
         assert store.spans() == [("a", 0, 2), ("b", 2, 4)]
         np.testing.assert_array_equal(store.labels, [2, 4, 0, 3])
@@ -190,22 +190,7 @@ class TestTalLabels:
         write_sidecar_edf(tmp_path / "a", 10, np.zeros(300, dtype=np.int16), "W\n")
         (tmp_path / "a.labels").unlink()
         with pytest.raises(DataError, match="no 'EDF Annotations' signal and no sidecar"):
-            load_edf_store(str(tmp_path), "EEG")
-
-
-def write_sidecar_edf(base, fs, digital, labels_text):
-    """One-channel EDF of 1 s records at fs, plus its '.labels' sidecar."""
-    sig = EdfSignalHeader(
-        label="EEG Fpz-Cz", transducer="", phys_dim="uV", phys_min=-100.0, phys_max=100.0,
-        dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=fs,
-    )
-    header = EdfHeader(
-        version="0", patient="X", recording="X", start_date="01.01.00",
-        start_time="00.00.00", header_bytes=512, reserved="", n_records=len(digital) // fs,
-        record_duration_s=1.0, n_signals=1, signals=[sig],
-    )
-    base.with_suffix(".edf").write_bytes(write_edf(header, [digital]))
-    base.with_suffix(".labels").write_text(labels_text)
+            load_edf_store(str(tmp_path), "EEG", 10)
 
 
 class TestResample:

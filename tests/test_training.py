@@ -366,13 +366,6 @@ class TestTransferEvaluate:
         np.testing.assert_array_equal(val_report.confusion, transfer_report.confusion)
         assert val_report.macro_f1 == transfer_report.macro_f1
 
-    def test_rate_mismatch_names_resampling(self):
-        model_cfg = toy_model_config()
-        params = ModelParams(model_cfg, np.random.default_rng(3))
-        store = synth_dataset(2, 6, fs=20, rng=np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="[Rr]esample"):
-            transfer_evaluate(params, store, toy_train_config(), model_cfg)
-
 
 class TestVarianceExperiment:
     def test_identical_seeds_give_zero_sd(self):

@@ -125,8 +125,6 @@ def cmd_inspect_edf(args) -> int:
 def cmd_variance(args) -> int:
     run = load_run_config(args.config)
     run.check_sequence_length(run.model.S, "[model] S")
-    if args.seed is not None:
-        run.train.seed = args.seed
     seeds = None
     if args.seeds:
         try:
@@ -183,13 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("path")
     p_inspect.set_defaults(func=cmd_inspect_edf)
 
-    p_var = sub.add_parser("variance", help="repeat training across seeds and sampling modes")
+    # no abbreviations, so a --seed (which variance does not take) is not read as --seeds
+    p_var = sub.add_parser("variance", help="repeat training across seeds and sampling modes",
+                           allow_abbrev=False)
     p_var.add_argument("--config", required=True)
     p_var.add_argument("--runs", type=int, default=5, help="training runs per sampling mode")
     p_var.add_argument("--seeds", default=None,
-                       help="comma-separated seeds, one per run (repeats allowed)")
+                       help="comma-separated seeds, one per run (repeats allowed); "
+                            "default [train] seed + run index")
     p_var.add_argument("--out", default="variance", help="output directory")
-    p_var.add_argument("--seed", type=int, default=None, help="base seed override")
     p_var.set_defaults(func=cmd_variance)
 
     p_synth = sub.add_parser("synth", help="write the synthetic dataset as EDF files")

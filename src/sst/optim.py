@@ -8,6 +8,12 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# The one optimizer every run uses: Adam's moment decays, its coupled (L2)
+# weight decay, and the global-norm ceiling train_step clips gradients to.
+BETAS = (0.9, 0.999)
+WEIGHT_DECAY = 1e-4
+CLIP_NORM = 5.0
+
 
 class AdamState:
     """Per-parameter first/second moment buffers plus the shared step count.
@@ -49,8 +55,8 @@ def adam_step(
     params: Sequence[Tensor],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float],
-    weight_decay: float,
+    betas: tuple[float, float] = BETAS,
+    weight_decay: float = WEIGHT_DECAY,
     eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update over `params`.

@@ -14,7 +14,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .losses import LossConfig, total_loss
 from .metrics import MetricsReport, evaluate_metrics
 from .model import ModelConfig, ModelParams, cnn_block_forward, fuse, sst_forward
-from .optim import AdamState, adam_step, clip_global_norm, zero_grads
+from .optim import CLIP_NORM, AdamState, adam_step, clip_global_norm, zero_grads
 from .sampling import (
     SAMPLING_MODES,
     EpochStore,
@@ -32,10 +32,6 @@ class TrainConfig:
     patience: int = 10
     batch_size: int = 64
     lr: float = 0.001
-    weight_decay: float = 0.0001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    clip_norm: float = 5.0
     val_fraction: float = 0.10
     seed: int = 0
     sampling_mode: str = "easy+difficult"
@@ -45,18 +41,13 @@ class TrainConfig:
     def __post_init__(self):
         positive = {
             "max_steps": self.max_steps, "validate_every": self.validate_every,
-            "patience": self.patience, "batch_size": self.batch_size,
-            "lr": self.lr, "clip_norm": self.clip_norm,
+            "patience": self.patience, "batch_size": self.batch_size, "lr": self.lr,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"train config: {name} must be positive, got {value}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"train config: weight_decay must be nonnegative, got {self.weight_decay}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"train config: val_fraction must be in (0, 1), got {self.val_fraction}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"train config: betas must be in [0, 1), got ({self.beta1}, {self.beta2})")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(
                 f"train config: sampling_mode must be one of {SAMPLING_MODES}, got {self.sampling_mode!r}"
@@ -186,11 +177,11 @@ def train_step(params: ModelParams, adam: AdamState, batch: PairBatch, cfg: Trai
             f"non-finite loss at step {step}: total={parts['total']}, "
             f"ls={parts['ls']}, cos={parts['cos']}, kl={parts['kl']}"
         )
-    zero_grads(params.params())
+    tensors = params.params()
+    zero_grads(tensors)
     breakdown.total.backward()
-    clip_global_norm(params.params(), cfg.clip_norm)
-    adam_step(params.params(), adam, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
-              weight_decay=cfg.weight_decay)
+    clip_global_norm(tensors, CLIP_NORM)
+    adam_step(tensors, adam, lr=cfg.lr)
     return parts
 
 

@@ -65,8 +65,7 @@ seed = 11
 METRIC_KEYS = {"confusion", "per_class_f1", "macro_f1", "accuracy", "kappa", "history"}
 
 FLOAT_KEYS = [("data", "noise_sd"), ("loss", "tau"), ("loss", "lambda"), ("loss", "alpha"),
-              ("train", "lr"), ("train", "weight_decay"), ("train", "beta1"), ("train", "beta2"),
-              ("train", "clip_norm"), ("train", "val_fraction"), ("train", "p0")]
+              ("train", "lr"), ("train", "val_fraction"), ("train", "p0")]
 
 
 def with_line(section, key, value):
@@ -150,7 +149,9 @@ class TestTrain:
         assert re.search(r"seq_len = 3.*\[model\] S = 2", capsys.readouterr().err)
 
     @pytest.mark.parametrize("section,key", [("model", "T"), ("model", "n_classes"),
-                                             ("loss", "n_classes"), ("model", "C")])
+                                             ("loss", "n_classes"), ("model", "C"),
+                                             ("train", "weight_decay"), ("train", "beta1"),
+                                             ("train", "beta2"), ("train", "clip_norm")])
     def test_fixed_quantities_are_unknown_keys(self, tmp_path, capsys, section, key):
         path = write_config(tmp_path, with_line(section, key, "300" if key == "T" else "5"))
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
@@ -778,3 +779,9 @@ class TestArgparse:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["prune"]) == 1
         capsys.readouterr()
+
+    def test_variance_seed_flag_exits_one(self, config_path, tmp_path, capsys):
+        # a variance run's seeds are [train] seed plus the run index, or --seeds
+        assert main(["variance", "--config", config_path, "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

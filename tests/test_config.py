@@ -1,12 +1,16 @@
 """Run-config parsing: sections, keys, types, aliases."""
 
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
-from sst.config import load_run_config
+from sst.config import _LOSS_ALIASES, _TRAIN_KEYS, DataConfig, load_run_config
 from sst.errors import ConfigError
+from sst.losses import LossConfig
+from sst.model import ModelConfig
+from sst.optim import BETAS, CLIP_NORM, WEIGHT_DECAY
 
 GOOD = """\
 [data]
@@ -68,8 +72,7 @@ def test_defaults_fill_missing_keys(tmp_path):
     assert run.train.validate_every == 100
     assert run.train.patience == 10
     assert run.train.batch_size == 64
-    assert run.train.weight_decay == 0.0001
-    assert run.train.clip_norm == 5.0
+    assert (BETAS, WEIGHT_DECAY, CLIP_NORM) == ((0.9, 0.999), 0.0001, 5.0)
     assert run.train.val_fraction == 0.10
 
 
@@ -170,3 +173,13 @@ def test_readme_example_loads(tmp_path):
     assert run.model.S == 2
     assert run.seq_len is None
 
+
+def test_readme_names_every_accepted_key():
+    # the keys are read off the tables load_run_config parses each section with
+    alias_of = {target: alias for alias, target in _LOSS_ALIASES.items()}
+    keys = [("data", f.name) for f in dataclasses.fields(DataConfig)]
+    keys += [("model", f.name) for f in dataclasses.fields(ModelConfig)]
+    keys += [("loss", alias_of.get(f.name, f.name)) for f in dataclasses.fields(LossConfig)]
+    keys += [("train", f.name) for f in _TRAIN_KEYS]
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [f"[{s}] {k}" for s, k in keys if f"`[{s}] {k}`" not in readme] == []

@@ -13,7 +13,7 @@ from sst.ingest import synth_dataset
 from sst.losses import total_loss
 from sst.metrics import evaluate_metrics
 from sst.model import ModelConfig, ModelParams, sst_forward
-from sst.optim import AdamState
+from sst.optim import CLIP_NORM, AdamState
 from sst.sampling import EpochStore, SamplingMemory, draw_pair_batch
 from sst.training import (
     RunSummary,
@@ -55,7 +55,7 @@ class TestTrainConfig:
         assert cfg.validate_every == 100
         assert cfg.patience == 10
         assert cfg.batch_size == 64
-        assert cfg.clip_norm == 5.0
+        assert CLIP_NORM == 5.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -64,8 +64,6 @@ class TestTrainConfig:
             TrainConfig(val_fraction=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(sampling_mode="sometimes")
-        with pytest.raises(ConfigError):
-            TrainConfig(beta1=1.0)
 
     def test_p0_range_enforced(self):
         with pytest.raises(ConfigError, match=r"p0 must be in \[0, 0\.5\)"):
@@ -306,10 +304,11 @@ def count_embeddings(monkeypatch):
 
 
 class TestTrainStep:
-    def test_fused_gradients_match_two_full_forwards(self):
+    def test_fused_gradients_match_two_full_forwards(self, monkeypatch):
+        monkeypatch.setattr(sst.training, "CLIP_NORM", 1e12)   # compare unclipped gradients
         store = toy_store()
         model_cfg = toy_model_config(d=2)
-        cfg = toy_train_config(batch_size=3, clip_norm=1e12)
+        cfg = toy_train_config(batch_size=3)
         batch = draw_pair_batch(store, SamplingMemory(), cfg.batch_size,
                                 model_cfg.S, np.random.default_rng(5), p0=0.25, mode="none")
         fused = ModelParams(model_cfg, np.random.default_rng(2))

@@ -13,6 +13,11 @@ normalized input, conv1d's folded input, GELU's derivative) plus shape tuples
 and flags. Inputs no rule reads, such as a conv's output once GELU has
 consumed it, are freed during the forward pass.
 
+GELU and conv1d split a large call into tasks on one thread pool (see
+``_parallel``); each task writes its own slice of a preallocated output with
+the operations, in the order, of the unsplit call, so the results do not
+depend on how many CPUs ran them.
+
 Tensors are immutable once created except for gradient accumulation; a tape
 and its tensors belong to one worker at a time. Tapes are not reused across
 training steps — dropping the loss tensor frees the whole graph. ``backward``
@@ -23,8 +28,12 @@ as it has been pushed to the node's inputs.
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import ctypes
 import heapq
 import itertools
+import os
+from concurrent import futures
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +45,72 @@ _SEQ = itertools.count()
 _GRAD_ENABLED = True
 
 _INV_SQRT_2PI = 0.3989422804014327
+
+# Values a task must get before an op is split: below these the hand-off to a
+# pool thread costs more than the task saves. A conv1d backward task does
+# several products per value of its block, a GELU or conv1d forward task one.
+_TASK_FLOOR = 1 << 18
+_CONV_BWD_TASK_FLOOR = 1 << 20
+_M_ARENA_MAX = -8   # glibc's mallopt parameter number
+_POOL: futures.ThreadPoolExecutor | None = None
+
+
+def _drop_pool() -> None:
+    # A forked child inherits the executor but none of its threads.
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _pool() -> futures.ThreadPoolExecutor:
+    """The process's pool: one thread per CPU the process may run on, less the
+    caller's, created on first use."""
+    global _POOL
+    if _POOL is None:
+        # One malloc heap for every thread: with a heap per pool thread,
+        # memory a task frees stays in that thread's heap and peak RSS grows.
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            mallopt(_M_ARENA_MAX, 1)
+        _POOL = futures.ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="sst-autodiff")
+    return _POOL
+
+
+def _parallel(task: Callable[[slice], None], count: int, values: int, floor: int) -> None:
+    """Run task over the index range [0, count), split into contiguous blocks.
+
+    `values` is the work of the whole range. The block count is the least of
+    the CPUs, `count` and `values // floor`, so each task gets at least
+    `floor` values; below two blocks, task(slice(None)) runs on the calling
+    thread. Otherwise the first block runs on the calling thread and the rest
+    on the pool, each in a copy of the caller's context, so numpy's error
+    state carries over. Errors are raised once every block has finished.
+    """
+    tasks = min(count, values // floor)
+    if tasks >= 2:
+        tasks = min(tasks, _cpus())
+    if tasks < 2:
+        task(slice(None))
+        return
+    edges = [count * i // tasks for i in range(tasks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    pool = _pool()
+    pending = [pool.submit(contextvars.copy_context().run, task, b) for b in blocks[1:]]
+    try:
+        task(blocks[0])
+    finally:
+        futures.wait(pending)
+    for f in pending:
+        f.result()
 
 
 @contextlib.contextmanager
@@ -234,23 +309,38 @@ def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact erf formulation of the normal CDF.
 
     Phi is scipy's ndtr, which works through erfc away from zero, so the deep
-    negative tail keeps its magnitude instead of cancelling to zero.
+    negative tail keeps its magnitude instead of cancelling to zero. Large
+    inputs are split by blocks of rows (the first axis).
     """
     x = a.data
-    cdf = ndtr(x)
-    if not (_GRAD_ENABLED and a.requires_grad):
-        return Tensor(x * cdf)
+    x1 = x.reshape(1) if x.ndim == 0 else x
     # The derivative cdf + x * pdf(x), evaluated in one buffer in the same
     # operation order as that expression, is all the rule keeps. Allocating
-    # it before the output measured the steadiest page-fault count per
-    # training step on the README desk model.
-    d = -0.5 * x
-    d *= x
-    np.exp(d, out=d)
-    d *= _INV_SQRT_2PI
-    d *= x
-    d += cdf
-    return _make(x * cdf, (a,), lambda g: (g * d,))
+    # it after cdf and before the output measured the steadiest page-fault
+    # count per training step on the README desk model.
+    cdf = np.empty(x1.shape)
+    d = np.empty(x1.shape) if _GRAD_ENABLED and a.requires_grad else None
+    out = np.empty(x1.shape)
+
+    def rows(block):
+        xb, cb = x1[block], cdf[block]
+        ndtr(xb, out=cb)
+        if d is not None:
+            db = d[block]
+            np.multiply(xb, -0.5, out=db)
+            db *= xb
+            np.exp(db, out=db)
+            db *= _INV_SQRT_2PI
+            db *= xb
+            db += cb
+        np.multiply(xb, cb, out=out[block])
+
+    _parallel(rows, x1.shape[0], x1.size, _TASK_FLOOR)
+    out = out.reshape(x.shape)
+    if d is None:
+        return Tensor(out)
+    d = d.reshape(x.shape)
+    return _make(out, (a,), lambda g: (g * d,))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +505,9 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     with zero taps to J*stride where J = ceil(k/stride), becomes J matrices
     (c_out, c_in*stride). Output i reads blocks i..i+J-1, so the forward
     pass, the kernel gradient and the input gradient are J matrix products
-    each, one per tap, over shifted views of the folded input.
+    each, one per tap, over shifted views of the folded input. Large calls
+    split the forward pass and the input gradient by blocks of samples, and
+    the kernel gradient by blocks of taps.
     """
     n, c_in, t = x.shape
     c_out, c_in_k, k = kernel.shape
@@ -441,24 +533,39 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     kp[:, :, :k] = kernel.data
     kf = kp.reshape(c_out, c_in, taps, stride).transpose(2, 0, 1, 3).reshape(taps, c_out, cs)
 
-    out = np.matmul(kf[0], xf[:, :, :t_out])
-    for j in range(1, taps):
-        out += np.matmul(kf[j], xf[:, :, j : j + t_out])
+    out = np.empty((n, c_out, t_out))
+
+    def forward_samples(block):
+        ob = out[block]
+        np.matmul(kf[0], xf[block, :, :t_out], out=ob)
+        for j in range(1, taps):
+            ob += np.matmul(kf[j], xf[block, :, j : j + t_out])
+
+    _parallel(forward_samples, n, out.size, _TASK_FLOOR)
     x_grad = x.requires_grad
 
     def bwd(g):
         gkf = np.empty_like(kf)
-        per_sample = np.empty((n, c_out, cs))
-        for j in range(taps):
-            np.matmul(g, xf[:, :, j : j + t_out].swapaxes(1, 2), out=per_sample)
-            per_sample.sum(axis=0, out=gkf[j])
+
+        def kernel_taps(block):
+            per_sample = np.empty((n, c_out, cs))
+            for j in range(taps)[block]:
+                np.matmul(g, xf[:, :, j : j + t_out].swapaxes(1, 2), out=per_sample)
+                per_sample.sum(axis=0, out=gkf[j])
+
+        _parallel(kernel_taps, taps, taps * g.size, _CONV_BWD_TASK_FLOOR)
         g_kernel = gkf.reshape(taps, c_out, c_in, stride).transpose(1, 2, 0, 3)
         g_kernel = g_kernel.reshape(c_out, c_in, taps * stride)[:, :, :k]
         if not x_grad:
             return None, g_kernel
         gxf = np.zeros((n, cs, nb))
-        for j in range(taps):
-            gxf[:, :, j : j + t_out] += np.matmul(kf[j].T, g)
+
+        def input_samples(block):
+            gb = g[block]
+            for j in range(taps):
+                gxf[block, :, j : j + t_out] += np.matmul(kf[j].T, gb)
+
+        _parallel(input_samples, n, taps * g.size, _CONV_BWD_TASK_FLOOR)
         gxp = gxf.reshape(n, c_in, stride, nb).transpose(0, 1, 3, 2).reshape(n, c_in, width)
         if width == t:
             return gxp, g_kernel

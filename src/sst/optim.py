@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -36,14 +37,17 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
-    Returns the pre-clip norm. Parameters without gradients contribute 0.
+    Returns the pre-clip norm. Parameters without gradients contribute 0. A
+    norm that is not finite (a NaN or inf gradient, or squares that overflow)
+    leaves the gradients as they are, for the caller to reject.
     """
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    with np.errstate(over="ignore"):
+        for p in params:
+            if p.grad is not None:
+                total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         factor = max_norm / norm
         for p in params:
             if p.grad is not None:

@@ -180,7 +180,10 @@ def train_step(params: ModelParams, adam: AdamState, batch: PairBatch, cfg: Trai
     tensors = params.params()
     zero_grads(tensors)
     breakdown.total.backward()
-    clip_global_norm(tensors, CLIP_NORM)
+    norm = clip_global_norm(tensors, CLIP_NORM)
+    if not math.isfinite(norm):
+        # Adam would write it into every parameter, and the loss would show it a step later.
+        raise NumericalError(f"non-finite gradient norm at step {step}: {norm}")
     adam_step(tensors, adam, lr=cfg.lr)
     return parts
 

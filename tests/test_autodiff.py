@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -501,3 +505,81 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert math.isfinite(parts["total"])
         assert peak < 200e6
+
+
+def _floors(monkeypatch, floor):
+    """Split every op that has at least `floor` values per task, over three CPUs."""
+    monkeypatch.setattr(ad, "_TASK_FLOOR", floor)
+    monkeypatch.setattr(ad, "_CONV_BWD_TASK_FLOOR", floor)
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
+
+
+class TestSplitOps:
+    """An op split into tasks gives the bytes of the same op run inline."""
+
+    @pytest.fixture(autouse=True)
+    def frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("shape", [(5, 3, 4, 40, 8, 1), (5, 1, 4, 300, 50, 12),
+                                       (5, 1, 4, 700, 400, 100)], ids=["s1", "s12", "s100"])
+    def test_conv1d(self, monkeypatch, rng, shape, x_grad):
+        n, c_in, c_out, t, k, stride = shape
+        x_val, k_val = rng.normal(size=(n, c_in, t)), rng.normal(size=(c_out, c_in, k))
+        g = rng.normal(size=(n, c_out, (t - k) // stride + 1))
+        results = []
+        for floor in (1 << 62, 1):
+            _floors(monkeypatch, floor)
+            out = ad.conv1d(Tensor(x_val, requires_grad=x_grad), _param(k_val), stride=stride)
+            gx, g_kernel = out.node.backward_rule(g)
+            assert (gx is None) == (not x_grad)
+            results.append([a.tobytes() for a in (out.data, g_kernel, gx) if a is not None])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 4, 9), (9, 4, 5)], ids=["0d", "1d", "3d", "permuted"])
+    def test_gelu(self, monkeypatch, rng, shape, requires_grad):
+        x_val = rng.normal(scale=3.0, size=shape)
+        if shape == (9, 4, 5):
+            x_val = x_val.transpose(2, 1, 0)    # rows that are not contiguous
+        results = []
+        for floor in (1 << 62, 1):
+            _floors(monkeypatch, floor)
+            y = ad.gelu(Tensor(x_val, requires_grad=requires_grad))
+            assert y.shape == x_val.shape
+            kept = [y.data]
+            if requires_grad:
+                kept += y.node.backward_rule(np.ones(x_val.shape))   # g * d with g = 1 is d
+            results.append([a.tobytes() for a in kept])
+        assert results[0] == results[1]
+
+    def test_forked_child_drops_the_inherited_pool(self, monkeypatch, rng):
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        x = _param(rng.normal(size=(4, 8, 1 << 16)))    # 2**18 values per task
+        kern = _param(rng.normal(size=(4, 8, 3)))
+        ad.gelu(x)                                       # the pool and its thread exist
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                ad.backward(ad.gelu(ad.conv1d(x, kern)).sum())
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its ops within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0

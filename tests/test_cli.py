@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sst.autodiff
 import sst.cli
 import sst.training
 from sst.checkpoint import save_checkpoint
@@ -417,6 +418,25 @@ class TestCheckpointMutation:
     def test_overflowing_weights_exit_three(self, config_path, tmp_path, capsys):
         params = ModelParams(load_run_config(config_path).model)
         params.named_params()[0][1].data[...] = 1e300
+        ckpt = str(tmp_path / "model.ckpt")
+        save_checkpoint(ckpt, params)
+        assert main(["transfer", ckpt, "--config", config_path,
+                     "--out", str(tmp_path / "tr")]) == 3
+        assert "non-finite test loss" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tr")
+
+    def test_overflowing_weights_exit_three_at_paper_widths(self, tmp_path, capsys, monkeypatch):
+        # At paper widths the second path's GELUs and convs run split across
+        # threads: with both its kernels at 1e300 the second conv overflows in
+        # a pool thread, which must not warn under the caller's np.errstate.
+        monkeypatch.setattr(sst.autodiff, "_cpus", lambda: 2)
+        text = re.sub(r"\[model\]\n(.+\n)+", "[model]\n\n", CONFIG)   # ModelConfig defaults
+        text = text.replace("test_epochs = 12", "test_epochs = 20").replace(
+            "seq_len = 2", "seq_len = 20")
+        config_path = write_config(tmp_path, text)
+        params = ModelParams(load_run_config(config_path).model)
+        params.conv_b1.data[...] = 1e300
+        params.conv_b2.data[...] = 1e300
         ckpt = str(tmp_path / "model.ckpt")
         save_checkpoint(ckpt, params)
         assert main(["transfer", ckpt, "--config", config_path,

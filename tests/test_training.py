@@ -326,6 +326,27 @@ class TestTrainStep:
             assert scale > 0, name
             assert np.linalg.norm(a.grad - b.grad) <= 1e-12 * scale, name
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_gradient_norm_stops_the_step(self, monkeypatch, value):
+        store = toy_store()
+        model_cfg = toy_model_config()
+        cfg = toy_train_config(batch_size=3)
+        batch = draw_pair_batch(store, SamplingMemory(), cfg.batch_size,
+                                model_cfg.S, np.random.default_rng(5), p0=0.25, mode="none")
+        params = ModelParams(model_cfg, np.random.default_rng(2))
+        before = params.copy()
+        real = ad.backward
+
+        def poisoned(loss):
+            real(loss)
+            params.named_params()[0][1].grad[...] = value
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(NumericalError, match="non-finite gradient norm at step 7"):
+            train_step(params, AdamState(params.params()), batch, cfg, model_cfg, 7)
+        for (name, a), (_, b) in zip(params.named_params(), before.named_params()):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
     def test_each_input_embedded_once(self, monkeypatch):
         calls = count_embeddings(monkeypatch)
         store = toy_store()

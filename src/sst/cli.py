@@ -19,7 +19,7 @@ from .edf import annotation_hypnogram, parse_edf
 from .errors import ConfigError, SstError
 from .ingest import export_edf, load_store
 from .metrics import STAGE_NAMES, MetricsReport
-from .training import train, transfer_evaluate, variance_experiment
+from .training import train, transfer_evaluate, variance_experiment, variance_seeds
 
 
 def format_stage_table(report: MetricsReport) -> str:
@@ -63,8 +63,6 @@ def cmd_train(args) -> int:
         run.train.seed = args.seed
     store = load_store(run.data, run.model, role="train")
     params, summary = train(store, run.train, run.model)
-
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params)
     run_summary = summary.to_dict()
     run_summary["seed"] = run.train.seed
@@ -91,8 +89,6 @@ def cmd_transfer(args) -> int:
                           f"fs = {params.config.fs}: test data is read at that rate")
     store = load_store(run.data, params.config, role="test")
     report = transfer_evaluate(params, store, run.train, params.config)
-
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "metrics.json"), _metrics_payload(report, []))
     print(format_stage_table(report))
     print(f"outputs in {args.out}")
@@ -131,6 +127,7 @@ def cmd_variance(args) -> int:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    seeds = variance_seeds(run.train, args.runs, seeds)
     if run.data.source == "edf" and not run.data.test_path:
         raise ConfigError("variance on EDF data needs [data] test_path: its test nights "
                           "must not be the training nights at [data] path")
@@ -138,8 +135,6 @@ def cmd_variance(args) -> int:
     test_store = load_store(run.data, run.model, role="test")
     results = variance_experiment(store, test_store, run.train, run.model,
                                   n_runs=args.runs, seeds=seeds)
-
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "variance.json"), results)
     print(format_variance_table(results))
     print(f"outputs in {args.out}")
@@ -206,14 +201,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 1
+    # --out is made before the command reads any data, and a command that
+    # fails takes the --out it made away again while that is still empty
+    out = getattr(args, "out", None)
+    made = out is not None and not os.path.isdir(out)
     try:
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
         return args.func(args)
-    except SstError as exc:
+    except (SstError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if made and os.path.isdir(out) and not os.listdir(out):
+            os.rmdir(out)
+        return exc.exit_code if isinstance(exc, SstError) else 2
 
 
 if __name__ == "__main__":

@@ -42,6 +42,9 @@ class DataConfig:
         if self.source == "synth":
             if self.subjects < 2:
                 raise ConfigError("[data] synth source needs subjects >= 2 for a validation split")
+        for key in ("epochs", "test_subjects", "test_epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[data] {key} must be at least 1, got {getattr(self, key)}")
         if self.noise_sd < 0:
             raise ConfigError(f"[data] noise_sd must be nonnegative, got {self.noise_sd}")
 

@@ -1,4 +1,4 @@
-"""EDF reading and writing plus TAL annotation decoding.
+"""EDF reading and writing plus TAL annotation encoding and decoding.
 
 EDF files carry a 256-byte fixed-width ASCII header, one more 256-byte block
 per signal (field-major), then data records of little-endian int16 samples.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParseError
-from .metrics import N_CLASSES
+from .metrics import EPOCH_S, N_CLASSES
 
 HEADER_FIELDS = (  # (name, width, type)
     ("version", 8, str),
@@ -65,6 +65,9 @@ STAGE_MAP = {
     "Sleep stage ?": None,
     "Movement time": None,
 }
+
+# the annotation text each stage is written as; STAGE_MAP reads it back
+STAGE_TEXT = ("Sleep stage W", "Sleep stage 1", "Sleep stage 2", "Sleep stage 3", "Sleep stage R")
 
 
 @dataclass
@@ -335,6 +338,29 @@ class Hypnogram:
             stages[c] if c < f else stages[f] if ok else None
             for c, f, ok in zip(first_covering.tolist(), first_later.tolist(), later_covers.tolist())
         ]
+
+
+# bytes of TAL that encode_tal writes per data record
+TAL_RECORD_BYTES = 64
+
+
+def annotation_signal() -> EdfSignalHeader:
+    """The header of the annotation signal that encode_tal fills."""
+    return EdfSignalHeader(
+        label=ANNOTATION_LABEL, transducer="", phys_dim="", phys_min=-1.0, phys_max=1.0,
+        dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=TAL_RECORD_BYTES // 2,
+    )
+
+
+def encode_tal(texts) -> np.ndarray:
+    """The annotation signal's int16 samples for one EPOCH_S data record per
+    entry of texts: record k holds its time-keeping TAL, then an annotation
+    scoring [k*EPOCH_S, (k+1)*EPOCH_S) as texts[k], padded to TAL_RECORD_BYTES."""
+    records = []
+    for k, text in enumerate(texts):
+        record = f"+{k * EPOCH_S}\x14\x14\x00+{k * EPOCH_S}\x15{EPOCH_S}\x14{text}\x14\x00"
+        records.append(record.encode("ascii").ljust(TAL_RECORD_BYTES, b"\x00"))
+    return np.frombuffer(b"".join(records), dtype="<i2")
 
 
 def parse_tal_annotations(data: bytes) -> Hypnogram:

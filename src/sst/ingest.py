@@ -1,6 +1,7 @@
-"""Turning signals into training data: loading EDF datasets, epoch slicing
-against a hypnogram, rational-rate resampling, label sidecar files, and the
-synthetic generator used for desk-scale runs (with its EDF export)."""
+"""Turning signals into training data: loading EDF+ nights scored in their
+own annotation signal, epoch slicing against that hypnogram, rational-rate
+resampling, and the synthetic generator used for desk-scale runs (with its
+EDF+ export, scored the same way)."""
 
 from __future__ import annotations
 
@@ -18,23 +19,24 @@ from scipy.special import i0
 
 from .edf import (
     ANNOTATION_LABEL,
+    STAGE_TEXT,
     EdfHeader,
     EdfSignalHeader,
     SignalTrace,
     annotation_hypnogram,
+    annotation_signal,
     digital_from_physical,
+    encode_tal,
     parse_edf,
     write_edf,
 )
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .metrics import EPOCH_S, N_CLASSES
 from .sampling import EpochStore
 
 if TYPE_CHECKING:
     from .config import DataConfig
     from .model import ModelConfig
-
-LABEL_CHARS = "W123R"
 
 # per-class oscillation frequencies as fractions of fs; distinct and below
 # Nyquist (0.5) for any fs
@@ -52,9 +54,8 @@ CHUNK_INPUTS = 1 << 16
 def load_edf_store(path: str, channel: str, fs: float) -> EpochStore:
     """Build an EpochStore from one EDF file or a directory of them.
 
-    Labels come from a '<stem>.labels' sidecar when present, otherwise from
-    the file's own TAL annotation signal. The epochs are those of the channel
-    resampled to fs; only labelled epochs are resampled.
+    Labels come from each file's own TAL annotation signal. The epochs are
+    those of the channel resampled to fs; only labelled epochs are resampled.
     """
     if os.path.isdir(path):
         files = sorted(glob.glob(os.path.join(path, "*.edf")))
@@ -80,19 +81,10 @@ def _load_night(filename: str, channel: str, fs: float):
     trace = select_trace(traces, channel)
     subject = os.path.splitext(os.path.basename(filename))[0]
 
-    sidecar = os.path.splitext(filename)[0] + ".labels"
-    if os.path.exists(sidecar):
-        stages = _read_sidecar(sidecar).tolist()
-        _, available = _epoch_grid(trace, fs)
-        if len(stages) > available:
-            raise DataError(
-                f"{sidecar}: {len(stages)} labels but only {available} epochs in the signal"
-            )
-    else:
-        hyp = annotation_hypnogram(traces)
-        if hyp is None:
-            raise DataError(f"{filename}: no '{ANNOTATION_LABEL}' signal and no sidecar {sidecar}")
-        stages = hyp.stages_for_epochs(_epoch_grid(trace, fs)[1], EPOCH_S)
+    hyp = annotation_hypnogram(traces)
+    if hyp is None:
+        raise DataError(f"{filename}: no '{ANNOTATION_LABEL}' signal to label its epochs")
+    stages = hyp.stages_for_epochs(_epoch_grid(trace, fs)[1], EPOCH_S)
     signals, dropped = epoch_and_label(trace, stages, fs)
     return (subject, signals, [stage for stage in stages if stage is not None]), dropped
 
@@ -262,41 +254,6 @@ def select_trace(traces: list[SignalTrace], label_match: str) -> SignalTrace:
     raise DataError(f"no signal label contains {label_match!r}; available: {available}")
 
 
-def labels_to_text(labels) -> str:
-    out = []
-    for i, y in enumerate(np.asarray(labels, dtype=np.int64)):
-        if not 0 <= y < N_CLASSES:
-            raise DataError(f"label {y} at position {i} outside 0..{N_CLASSES - 1}")
-        out.append(LABEL_CHARS[y])
-    return "\n".join(out) + "\n"
-
-
-def _read_sidecar(path: str) -> np.ndarray:
-    """The labels of an ASCII '.labels' sidecar; a ParseError names the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return labels_from_text(raw.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}: label sidecar line {lineno} is not ASCII",
-                         offset=exc.start) from None
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def labels_from_text(text: str) -> np.ndarray:
-    labels = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if len(line) != 1 or line not in LABEL_CHARS:
-            raise ParseError(f"label sidecar line {lineno}: unknown stage {line!r}")
-        labels.append(LABEL_CHARS.index(line))
-    return np.array(labels, dtype=np.int64)
-
-
 def synth_dataset(
     n_subjects: int,
     epochs_per_subject: int,
@@ -338,9 +295,9 @@ def synth_dataset(
 
 
 def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:
-    """Write each subject of a single-channel store as '<subject>.edf' plus a
-    '<subject>.labels' sidecar, one record per second."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write each subject of a single-channel store into the directory out_dir
+    as the EDF+ file '<subject>.edf': one record per epoch, the EEG and an
+    annotation signal that scores the record with the epoch's label."""
     for subject, first, end in store.spans():
         samples = store.signals[first:end].reshape(-1)
         # integer span keeps the physical-range fields inside 8 ASCII chars
@@ -348,18 +305,15 @@ def export_edf(store: EpochStore, fs: int, out_dir: str) -> None:
         sig = EdfSignalHeader(
             label="EEG synth", transducer="synthetic", phys_dim="uV",
             phys_min=-span, phys_max=span, dig_min=-32768, dig_max=32767,
-            prefilter="", samples_per_record=fs,
+            prefilter="", samples_per_record=EPOCH_S * fs,
         )
-        n_records = len(samples) // fs
         header = EdfHeader(
             version="0", patient=subject, recording="synthetic dataset",
             start_date="01.01.00", start_time="00.00.00",
-            header_bytes=512, reserved="", n_records=n_records,
-            record_duration_s=1.0, n_signals=1, signals=[sig],
+            header_bytes=768, reserved="EDF+C", n_records=end - first,
+            record_duration_s=float(EPOCH_S), n_signals=2, signals=[sig, annotation_signal()],
         )
-        blob = write_edf(header, [digital_from_physical(samples, sig)])
-        base = os.path.join(out_dir, subject)
-        with open(base + ".edf", "wb") as fh:
+        tal = encode_tal(STAGE_TEXT[y] for y in store.labels[first:end])
+        blob = write_edf(header, [digital_from_physical(samples, sig), tal])
+        with open(os.path.join(out_dir, subject + ".edf"), "wb") as fh:
             fh.write(blob)
-        with open(base + ".labels", "w", encoding="ascii") as fh:
-            fh.write(labels_to_text(store.labels[first:end]))

@@ -244,20 +244,23 @@ def transfer_evaluate(params: ModelParams, store_test: EpochStore, cfg: TrainCon
     return report
 
 
-def variance_experiment(store_train: EpochStore, store_test: EpochStore, cfg: TrainConfig,
-                        model_cfg: ModelConfig, n_runs: int, seeds=None) -> dict:
-    """Repeat training under each sampling mode and summarize test metrics.
-
-    seeds defaults to cfg.seed + run index; passing an explicit list (for
-    example n_runs copies of one seed) pins every run's randomness.
-    """
+def variance_seeds(cfg: TrainConfig, n_runs: int, seeds=None) -> list:
+    """The seed of each of n_runs >= 2 variance runs: seeds, one per run (n_runs
+    copies of one seed pin every run's randomness), or cfg.seed + run index."""
     if n_runs < 2:
         raise ConfigError(f"variance experiment needs n_runs >= 2, got {n_runs}")
     if seeds is None:
-        seeds = [cfg.seed + i for i in range(n_runs)]
+        return [cfg.seed + i for i in range(n_runs)]
     if len(seeds) != n_runs:
         raise ConfigError(f"{len(seeds)} seeds for {n_runs} runs")
+    return seeds
 
+
+def variance_experiment(store_train: EpochStore, store_test: EpochStore, cfg: TrainConfig,
+                        model_cfg: ModelConfig, n_runs: int, seeds=None) -> dict:
+    """Repeat training under each sampling mode and summarize test metrics,
+    one run per seed of variance_seeds(cfg, n_runs, seeds)."""
+    seeds = variance_seeds(cfg, n_runs, seeds)
     results: dict = {}
     for mode in SAMPLING_MODES:
         runs = []

@@ -18,7 +18,7 @@ import sst.training
 from sst.checkpoint import save_checkpoint
 from sst.cli import main
 from sst.config import RunConfig, load_run_config
-from sst.edf import parse_edf
+from sst.edf import STAGE_TEXT, annotation_hypnogram, parse_edf
 from sst.errors import (
     ConfigError,
     ContractError,
@@ -28,10 +28,10 @@ from sst.errors import (
     ParseError,
     SstError,
 )
-from sst.ingest import labels_from_text, load_edf_store
+from sst.ingest import load_edf_store
 from sst.model import ModelParams
 
-from conftest import SLOPPY_FIELDS, SLOPPY_IDS, tal_edf, write_sidecar_edf
+from conftest import SLOPPY_IDS, sloppy_fields, tal_edf
 
 CONFIG = """\
 [data]
@@ -102,15 +102,15 @@ def read_json(path):
         return json.load(fh)
 
 
-def sidecar_nights(out_dir, fs, seed=0):
-    """Four sidecar-labelled nights of eight epochs of noise at fs Hz, as a
-    directory path."""
+def tal_nights(out_dir, fs, seed=0):
+    """Four nights of eight epochs of noise at fs Hz, each scored in its own
+    annotation signal, as a directory path."""
     out_dir.mkdir()
     rng = np.random.default_rng(seed)
     for k in range(4):
         digital = rng.integers(-30000, 30000, size=8 * 30 * fs, dtype=np.int16)
-        labels = "".join(f"{'W123R'[y]}\n" for y in rng.integers(0, 5, size=8))
-        write_sidecar_edf(out_dir / f"night{k}", fs, digital, labels)
+        texts = [STAGE_TEXT[y] for y in rng.integers(0, 5, size=8)]
+        (out_dir / f"night{k}.edf").write_bytes(tal_edf(fs, texts, digital))
     return str(out_dir)
 
 
@@ -169,6 +169,11 @@ class TestTrain:
         path = write_config(tmp_path, with_line("data", "noise_sd", "-5"))
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "[data] noise_sd must be nonnegative, got -5.0" in capsys.readouterr().err
+        # the synthetic data's other ranges are checked as the config is read too
+        for key, value in [("epochs", 0), ("test_subjects", 0), ("test_epochs", -3)]:
+            path = write_config(tmp_path, with_line("data", key, value))
+            assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
+            assert f"[data] {key} must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_p0_checked_before_data_loads(self, tmp_path, capsys):
         # with the data loaded first, the missing path would exit 2
@@ -219,19 +224,9 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert f"{path}: not UTF-8 at byte offset 5" in capsys.readouterr().err
 
-    def test_non_ascii_sidecar_exits_two(self, config_path, tmp_path, capsys):
-        edf_dir = tmp_path / "edf"
-        assert main(["synth", "--config", config_path, "--out", str(edf_dir)]) == 0
-        sidecar = edf_dir / "synth001.labels"
-        sidecar.write_bytes(b"W\n1\n\xff\n" + sidecar.read_bytes()[6:])
-        path = write_config(tmp_path, CONFIG.replace("source = synth",
-                                                     f"source = edf\npath = {edf_dir}"))
-        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert f"{sidecar}: label sidecar line 3 is not ASCII (offset 4)" in capsys.readouterr().err
-
     @pytest.mark.parametrize("data_fs,fs", [(20, 10), (125, 100)])
     def test_data_at_another_rate_is_read_at_fs(self, tmp_path, data_fs, fs):
-        edf_dir = sidecar_nights(tmp_path / "edf", data_fs)
+        edf_dir = tal_nights(tmp_path / "edf", data_fs)
         path = write_config(tmp_path, CONFIG.replace("fs = 10", f"fs = {fs}").replace(
             "source = synth", f"source = edf\npath = {edf_dir}"))
         out = tmp_path / "o"
@@ -315,7 +310,7 @@ class TestTransfer:
         assert "mangled.ckpt" in capsys.readouterr().err
 
     def test_resample_to_matches_checkpoint_rate(self, config_path, tmp_path, capsys):
-        edf_dir = sidecar_nights(tmp_path / "edf20", 20)
+        edf_dir = tal_nights(tmp_path / "edf20", 20)
         eval_cfg = write_config(tmp_path, CONFIG.replace(
             "source = synth", f"source = edf\npath = {edf_dir}"), "eval.ini")
         ckpt = random_checkpoint(config_path, tmp_path)
@@ -480,8 +475,9 @@ class TestInspectEdf:
     def test_prints_structure(self, edf_file, capsys):
         assert main(["inspect-edf", edf_file]) == 0
         text = capsys.readouterr().out
-        assert "n_signals: 1" in text
+        assert "n_signals: 2" in text
         assert "fs=10" in text
+        assert "annotations: 30 entries" in text
 
     def test_prints_annotations(self, tmp_path, capsys):
         path = tmp_path / "night.edf"
@@ -511,7 +507,7 @@ class TestInspectEdf:
         assert main(["inspect-edf", str(cut)]) == 2
         assert "offset" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,at,raw", SLOPPY_FIELDS, ids=SLOPPY_IDS)
+    @pytest.mark.parametrize("field,at,raw", sloppy_fields(2), ids=SLOPPY_IDS)
     def test_sloppy_field_exits_two_naming_it(self, edf_file, tmp_path, capsys, field, at, raw):
         with open(edf_file, "rb") as fh:
             blob = bytearray(fh.read())
@@ -593,29 +589,6 @@ class TestEdfMutation:
                      "--out", str(tmp_path / "tr"), "--resample-to", "10"]) in {0, 1, 2, 3}
 
 
-# labels for the four records of NIGHT, one of W123R per line
-SIDECAR = b"W\n2\nR\n2\n"
-
-
-class TestSidecarMutation:
-    """Whatever the bytes of a night's label sidecar, transfer ends in an exit code."""
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutations=st.lists(ANYWHERE, max_size=3), cut=CUT)
-    @example(mutations=[("flip", 0, ord("W") ^ 0xB5)], cut=None)  # a non-ASCII label
-    @example(mutations=[("insert", 0, b"W\n")], cut=None)         # more labels than records
-    def test_mutated_sidecar_exits_with_a_code(self, config_path, tmp_path, mutations, cut):
-        data = tmp_path / "nights"
-        data.mkdir(exist_ok=True)
-        (data / "night.edf").write_bytes(NIGHT)
-        (data / "night.labels").write_bytes(mutate(SIDECAR, mutations, cut))
-        eval_cfg = write_config(tmp_path, CONFIG.replace(
-            "source = synth", f"source = edf\npath = {data}"), "eval.ini")
-        assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
-                     "--out", str(tmp_path / "tr")]) in {0, 1, 2, 3}
-
-
 class TestConfigMutation:
     """Whatever the bytes of a run config, load_run_config returns a RunConfig
     or raises an SstError. The configs are read, not run: a mutated one may
@@ -689,8 +662,8 @@ class TestVariance:
         assert scored == [["night"]] * 6   # 3 sampling modes x 2 runs
 
     def test_data_at_another_rate_is_read_at_fs(self, config_path, tmp_path):
-        train_dir = sidecar_nights(tmp_path / "edf20", 20)
-        test_dir = sidecar_nights(tmp_path / "edf10", 10, seed=1)
+        train_dir = tal_nights(tmp_path / "edf20", 20)
+        test_dir = tal_nights(tmp_path / "edf10", 10, seed=1)
         path = write_config(tmp_path, CONFIG.replace(
             "source = synth", f"source = edf\npath = {train_dir}\ntest_path = {test_dir}"))
         out = tmp_path / "v"
@@ -714,6 +687,32 @@ class TestVariance:
         assert not os.path.exists(tmp_path / "v")
 
 
+class TestFailBeforeTheWork:
+    """An --out that cannot be a directory, or a variance run count that does
+    not fit, ends the command before any data loads or any step trains."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["train", "--out", "FILE"], 2),
+        (["transfer", "CKPT", "--out", "FILE"], 2),
+        (["synth", "--out", "FILE"], 2),
+        (["variance", "--runs", "2", "--out", "FILE"], 2),
+        (["variance", "--runs", "1", "--out", "DIR"], 1),
+        (["variance", "--runs", "3", "--seeds", "1,2", "--out", "DIR"], 1),
+    ], ids=["train_out_file", "transfer_out_file", "synth_out_file", "variance_out_file",
+            "variance_one_run", "variance_seed_count"])
+    def test_exits_before_loading(self, config_path, tmp_path, monkeypatch, argv, code):
+        calls = []
+        monkeypatch.setattr(sst.cli, "load_store", lambda *a, **k: calls.append("load_store"))
+        monkeypatch.setattr(sst.training, "train_step", lambda *a, **k: calls.append("train_step"))
+        (tmp_path / "file").write_text("")
+        paths = {"FILE": str(tmp_path / "file"), "DIR": str(tmp_path / "out"),
+                 "CKPT": random_checkpoint(config_path, tmp_path)}
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert main([*argv, "--config", config_path]) == code
+        assert calls == []
+        assert not os.path.exists(tmp_path / "out")
+
+
 class TestWriteJson:
     def test_failed_dump_leaves_previous_file_whole(self, tmp_path):
         path = tmp_path / "metrics.json"
@@ -731,15 +730,15 @@ class TestSynth:
         out = tmp_path / "edf"
         assert main(["synth", "--config", config_path, "--out", str(out)]) == 0
         edfs = sorted(out.glob("*.edf"))
-        labels = sorted(out.glob("*.labels"))
-        assert len(edfs) == 4 and len(labels) == 4
+        assert len(edfs) == 4 and sorted(out.iterdir()) == edfs
         with open(edfs[0], "rb") as fh:
             header, traces = parse_edf(fh.read())
-        assert header.n_signals == 1
+        assert header.n_signals == 2
         assert len(traces[0].digital) == 30 * 30 * 10
-        decoded = labels_from_text(labels[0].read_text())
-        assert decoded.shape == (30,)
-        assert set(decoded) <= {0, 1, 2, 3, 4}
+        entries = annotation_hypnogram(traces).entries
+        assert [(onset, duration) for onset, duration, _ in entries] == [
+            (30.0 * k, 30.0) for k in range(30)]
+        assert {stage for _, _, stage in entries} <= {0, 1, 2, 3, 4}
 
     def test_round_trip_trains(self, config_path, tmp_path):
         out = str(tmp_path / "edf")

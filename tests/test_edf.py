@@ -11,19 +11,23 @@ from hypothesis import strategies as st
 from sst.edf import (
     HEADER_FIELDS,
     SIGNAL_FIELDS,
+    STAGE_TEXT,
+    TAL_RECORD_BYTES,
     EdfHeader,
     EdfSignalHeader,
     Hypnogram,
     SignalTrace,
     annotation_hypnogram,
     digital_from_physical,
+    encode_tal,
     parse_edf,
     parse_tal_annotations,
     write_edf,
 )
 from sst.errors import DataError, ParseError
+from sst.metrics import EPOCH_S, N_CLASSES
 
-from conftest import SLOPPY_FIELDS, SLOPPY_IDS, tal_edf
+from conftest import SLOPPY_IDS, sloppy_fields, tal_edf
 
 
 def one_signal_header(n_records=2, spr=3, duration=1.0):
@@ -296,7 +300,7 @@ class TestParseErrors:
             assert 0 < trace.fs < math.inf
             assert np.isfinite(trace.physical(0, len(trace.digital))).all()
 
-    @pytest.mark.parametrize("field,at,raw", SLOPPY_FIELDS, ids=SLOPPY_IDS)
+    @pytest.mark.parametrize("field,at,raw", sloppy_fields(1), ids=SLOPPY_IDS)
     def test_sloppy_field_is_refused_at_its_offset(self, field, at, raw):
         blob = bytearray(self.blob())
         blob[at : at + len(raw)] = raw
@@ -356,6 +360,16 @@ class TestTal:
         blob = b"+0\x1530\x14Sleep stage W\x14\x00bad\x14\x00"
         with pytest.raises(ParseError, match="record 1"):
             parse_tal_annotations(blob)
+
+    @settings(max_examples=50, deadline=None)
+    @given(stages=st.lists(st.integers(0, N_CLASSES - 1), max_size=40))
+    @example(stages=list(range(N_CLASSES)))
+    def test_writer_round_trips_every_stage(self, stages):
+        samples = encode_tal(STAGE_TEXT[stage] for stage in stages)
+        assert samples.dtype == np.dtype("<i2")
+        assert samples.nbytes == TAL_RECORD_BYTES * len(stages)
+        hyp = parse_tal_annotations(samples.tobytes())
+        assert hyp.entries == [(EPOCH_S * k, EPOCH_S, stage) for k, stage in enumerate(stages)]
 
 
 class TestAnnotationHypnogram:

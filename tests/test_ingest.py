@@ -1,5 +1,5 @@
-"""Epoch slicing, resampling fidelity, label sidecars, and the synthetic
-dataset generator."""
+"""Epoch slicing, resampling fidelity, annotation-labelled nights, and the
+synthetic dataset generator with its EDF+ export."""
 
 import math
 import tracemalloc
@@ -12,22 +12,20 @@ from hypothesis import strategies as st
 from scipy.signal import firwin, resample_poly
 
 from sst import ingest
-from sst.edf import EdfSignalHeader, Hypnogram, SignalTrace, parse_edf
-from sst.errors import ConfigError, DataError, ParseError
+from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
+from sst.errors import ConfigError, DataError
 from sst.metrics import EPOCH_S
 from sst.sampling import EpochStore
 from sst.ingest import (
     epoch_and_label,
     export_edf,
-    labels_from_text,
-    labels_to_text,
     load_edf_store,
     resample,
     select_trace,
     synth_dataset,
 )
 
-from conftest import tal_edf, write_sidecar_edf
+from conftest import tal_edf
 
 
 def trace_of(rng, n, fs, label="EEG"):
@@ -131,28 +129,6 @@ class TestScoredSpanResampling:
         if pattern != "all_kept":
             assert sum(calls) < n
 
-    @pytest.mark.parametrize("fs,target", RATE_PAIRS)
-    def test_sidecar_resamples_labelled_prefix(self, fs, target, tmp_path, monkeypatch):
-        digital = np.random.default_rng(fs * target).integers(-30000, 30000, size=300 * fs)
-        write_sidecar_edf(tmp_path / "night", fs, digital.astype(np.int16), "W\n1\n2\n3\nR\nR\n")
-
-        _, traces = parse_edf((tmp_path / "night.edf").read_bytes())
-        full = resample(traces[0].physical(0, len(digital)), fs, target)
-        calls = []
-        monkeypatch.setattr(ingest, "resample",
-                            lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
-        store = load_edf_store(str(tmp_path), "EEG", target)
-
-        np.testing.assert_array_equal(store.labels, [0, 1, 2, 3, 4, 4])
-        assert store.signals.tobytes() == full[: 6 * 30 * target].tobytes()
-        assert len(calls) == 1 and calls[0] < len(digital)
-
-    def test_sidecar_longer_than_signal_rejected(self, tmp_path):
-        write_sidecar_edf(tmp_path / "a", 200, np.zeros(60 * 200, dtype=np.int16), "W\nW\nW\n")
-        with pytest.raises(DataError, match="3 labels but only 2 epochs"):
-            load_edf_store(str(tmp_path), "EEG", 100)
-
-
 class TestTalLabels:
     def test_epochs_labelled_from_annotation_signal(self, tmp_path, capsys):
         blob = tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage R"])
@@ -172,25 +148,30 @@ class TestTalLabels:
         np.testing.assert_array_equal(store.labels, [1, 0])
         assert "dropped 2 epochs" in capsys.readouterr().err
 
-    def test_sidecar_and_tal_nights_load_together(self, tmp_path):
-        digital = np.random.default_rng(7).integers(-30000, 30000, size=900, dtype=np.int16)
-        write_sidecar_edf(tmp_path / "a", 10, digital, "2\nR\n")
-        blob = tal_edf(10, ["Sleep stage W", "Sleep stage ?", "Sleep stage 3"])
-        (tmp_path / "b.edf").write_bytes(blob)
-        store = load_edf_store(str(tmp_path), "EEG", 10)
-
-        assert store.spans() == [("a", 0, 2), ("b", 2, 4)]
-        np.testing.assert_array_equal(store.labels, [2, 4, 0, 3])
-        sidecar_eeg = parse_edf((tmp_path / "a.edf").read_bytes())[1][0]
-        tal_eeg = parse_edf(blob)[1][0]
-        kept = [sidecar_eeg.physical(0, 600), tal_eeg.physical(0, 300), tal_eeg.physical(600, 900)]
-        assert store.signals.tobytes() == np.concatenate(kept).tobytes()
-
     def test_no_annotations_and_no_sidecar_rejected(self, tmp_path):
-        write_sidecar_edf(tmp_path / "a", 10, np.zeros(300, dtype=np.int16), "W\n")
-        (tmp_path / "a.labels").unlink()
-        with pytest.raises(DataError, match="no 'EDF Annotations' signal and no sidecar"):
+        sig = EdfSignalHeader(
+            label="EEG Fpz-Cz", transducer="", phys_dim="uV", phys_min=-100.0, phys_max=100.0,
+            dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=300,
+        )
+        header = EdfHeader(
+            version="0", patient="X", recording="X", start_date="01.01.00",
+            start_time="00.00.00", header_bytes=512, reserved="", n_records=1,
+            record_duration_s=30.0, n_signals=1, signals=[sig],
+        )
+        (tmp_path / "a.edf").write_bytes(write_edf(header, [np.zeros(300, dtype=np.int16)]))
+        with pytest.raises(DataError, match=f"{tmp_path / 'a.edf'}: no 'EDF Annotations' signal"):
             load_edf_store(str(tmp_path), "EEG", 10)
+
+    def test_mixed_rate_directory_reads_each_night_at_fs(self, tmp_path):
+        for fs in (10, 20):
+            export_edf(synth_dataset(1, 3, fs=fs, rng=np.random.default_rng(fs)), fs, str(tmp_path))
+            (tmp_path / "synth000.edf").rename(tmp_path / f"night{fs}.edf")
+        mixed = load_edf_store(str(tmp_path), "EEG", 10)
+        alone = [load_edf_store(str(tmp_path / f"night{fs}.edf"), "EEG", 10) for fs in (10, 20)]
+
+        assert mixed.spans() == [("night10", 0, 3), ("night20", 3, 6)]
+        assert mixed.signals.tobytes() == b"".join(store.signals.tobytes() for store in alone)
+        assert mixed.labels.tobytes() == b"".join(store.labels.tobytes() for store in alone)
 
 
 class TestResample:
@@ -316,25 +297,6 @@ class TestResampleOracle:
         assert h is ingest._resampling_filter(4, 5) and not h.flags.writeable
 
 
-class TestLabelSidecar:
-    def test_round_trip(self):
-        labels = np.array([0, 1, 2, 3, 4, 2, 0])
-        text = labels_to_text(labels)
-        assert text == "W\n1\n2\n3\nR\n2\nW\n"
-        np.testing.assert_array_equal(labels_from_text(text), labels)
-
-    def test_blank_lines_skipped(self):
-        np.testing.assert_array_equal(labels_from_text("W\n\n2\n"), [0, 2])
-
-    def test_unknown_character_names_line(self):
-        with pytest.raises(ParseError, match="line 2"):
-            labels_from_text("W\nQ\n")
-
-    def test_out_of_range_label_rejected(self):
-        with pytest.raises(DataError):
-            labels_to_text([0, 7])
-
-
 class TestSelectTrace:
     def test_case_insensitive_substring(self, rng):
         traces = [trace_of(rng, 10, 100, label="EOG horizontal"),
@@ -401,3 +363,17 @@ class TestExportEdf:
         with pytest.raises(DataError, match="field patient value 'é' is not ASCII"):
             export_edf(store, 10, str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+    def test_export_loads_back_as_digitized(self, tmp_path, capsys):
+        store = synth_dataset(3, 7, fs=10, rng=np.random.default_rng(2))
+        export_edf(store, 10, str(tmp_path))
+        loaded = load_edf_store(str(tmp_path), "EEG", 10)
+
+        assert loaded.spans() == store.spans()
+        np.testing.assert_array_equal(loaded.labels, store.labels)
+        digitized = []
+        for subject, _, _ in store.spans():
+            eeg = parse_edf((tmp_path / f"{subject}.edf").read_bytes())[1][0]
+            digitized.append(eeg.physical(0, len(eeg.digital)))
+        assert loaded.signals.tobytes() == np.concatenate(digitized).tobytes()
+        assert capsys.readouterr().err == ""   # dropped 0

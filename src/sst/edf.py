@@ -9,12 +9,13 @@ its byte offset.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ContractError, DataError, ParseError
 from .metrics import EPOCH_S, N_CLASSES
 
 HEADER_FIELDS = (  # (name, width, type)
@@ -45,6 +46,9 @@ SIGNAL_FIELDS = (
 
 # what a parse error calls each numeric type
 _NUMERIC = {int: "an integer", float: "a number"}
+
+# bytes of data records EdfReader reads at a time
+READ_BUFFER_BYTES = 1 << 18
 
 # EDF+ label of the signal that carries TAL annotations
 ANNOTATION_LABEL = "EDF Annotations"
@@ -102,7 +106,8 @@ class EdfHeader:
 @dataclass
 class SignalTrace:
     """One signal as the file stores it: int16 samples at fs Hz, mapped to
-    physical units only for the spans that are read."""
+    physical units only for the spans that are read. digital is an int16
+    array, or (from EdfReader.traces) the file's samples, read as sliced."""
 
     signal: EdfSignalHeader
     fs: float
@@ -139,11 +144,14 @@ class _Cursor:
             raise ParseError(f"field {name} is not {_NUMERIC[kind]}: {text!r}", offset=at) from None
 
 
-def parse_edf(data: bytes):
-    """Decode one EDF file. Returns (EdfHeader, [SignalTrace])."""
-    if len(data) < 256:
-        raise ParseError(f"file is {len(data)} bytes, EDF header needs 256", offset=len(data))
-    cur = _Cursor(data)
+def _read_header(fh) -> EdfHeader:
+    """The header of the EDF file open in binary mode as fh, checked against
+    the file's size."""
+    size = fh.seek(0, io.SEEK_END)
+    if size < 256:
+        raise ParseError(f"file is {size} bytes, EDF header needs 256", offset=size)
+    fh.seek(0)
+    cur = _Cursor(fh.read(256))
 
     fields, at = {}, {}
     for name, width, kind in HEADER_FIELDS:
@@ -164,8 +172,9 @@ def parse_edf(data: bytes):
             f"header_bytes is {header_bytes}, must be 256*(1+{n_signals}) = {256 * (1 + n_signals)}",
             offset=at["header_bytes"],
         )
-    if len(data) < header_bytes:
-        raise ParseError("file ends inside the signal header block", offset=len(data))
+    if size < header_bytes:
+        raise ParseError("file ends inside the signal header block", offset=size)
+    cur.data += fh.read(header_bytes - 256)
 
     columns, offsets = {}, {}
     for name, width, kind in SIGNAL_FIELDS:
@@ -219,25 +228,83 @@ def parse_edf(data: bytes):
     n_records = fields["n_records"]
     if n_records < 0:
         raise ParseError(f"n_records is {n_records}", offset=at["n_records"])
-    header = EdfHeader(**fields, signals=signals)
 
-    spr = np.array([s.samples_per_record for s in signals], dtype=np.int64)
-    per_record = int(spr.sum())
+    per_record = sum(s.samples_per_record for s in signals)
     expected = header_bytes + n_records * per_record * 2
-    if len(data) != expected:
+    if size != expected:
         raise ParseError(
-            f"file is {len(data)} bytes, header promises {expected} "
+            f"file is {size} bytes, header promises {expected} "
             f"({n_records} records of {per_record * 2} bytes)",
-            offset=min(len(data), expected),
+            offset=min(size, expected),
         )
-    flat = np.frombuffer(data, dtype="<i2", count=n_records * per_record, offset=header_bytes)
-    table = flat.reshape(n_records, per_record)
-    bounds = np.concatenate([[0], np.cumsum(spr)])
+    return EdfHeader(**fields, signals=signals)
 
-    traces = [SignalTrace(sig, sig.samples_per_record / record_duration_s,
-                          np.ascontiguousarray(table[:, bounds[i] : bounds[i + 1]]).reshape(-1))
-              for i, sig in enumerate(signals)]
-    return header, traces
+
+class EdfReader:
+    """An EDF file open in binary mode as fh: its header, checked on opening,
+    and the samples of one signal over a range of data records, read through
+    a buffer of at most READ_BUFFER_BYTES (or one record). The reader reads
+    from fh, so it is used while fh is open."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.header = _read_header(fh)
+        spr = [s.samples_per_record for s in self.header.signals]
+        self._starts = np.concatenate([[0], np.cumsum(spr)]).tolist()
+        self._record_bytes = 2 * self._starts[-1]
+
+    def records(self, i: int, r0: int, r1: int) -> np.ndarray:
+        """The int16 samples of signal i in data records r0:r1, in time order."""
+        header = self.header
+        if not 0 <= r0 <= r1 <= header.n_records:
+            raise ContractError(f"records {r0}:{r1} outside 0:{header.n_records}")
+        lo, hi = self._starts[i], self._starts[i + 1]
+        out = np.empty((r1 - r0, hi - lo), dtype="<i2")
+        step = max(1, READ_BUFFER_BYTES // self._record_bytes)
+        buf = np.empty((min(step, r1 - r0), self._starts[-1]), dtype="<i2")
+        self.fh.seek(header.header_bytes + r0 * self._record_bytes)
+        for first in range(r0, r1, step):
+            rows = buf[: min(step, r1 - first)]
+            got = self.fh.readinto(rows)
+            if got != rows.nbytes:
+                raise ParseError(f"file ends inside data record {first + got // self._record_bytes}",
+                                 offset=header.header_bytes + first * self._record_bytes + got)
+            out[first - r0 : first - r0 + len(rows)] = rows[:, lo:hi]
+        return out.reshape(-1)
+
+    def traces(self) -> list[SignalTrace]:
+        """Every signal as a SignalTrace whose samples are read from the file
+        as they are sliced."""
+        duration = self.header.record_duration_s
+        return [SignalTrace(sig, sig.samples_per_record / duration, _RecordedSamples(self, i))
+                for i, sig in enumerate(self.header.signals)]
+
+
+class _RecordedSamples:
+    """The int16 samples of one signal of an EdfReader's file. A slice reads
+    the data records that cover it; len is the signal's sample count."""
+
+    def __init__(self, reader: EdfReader, i: int):
+        self.reader, self.i = reader, i
+        self.spr = reader.header.signals[i].samples_per_record
+
+    def __len__(self) -> int:
+        return self.reader.header.n_records * self.spr
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, step = key.indices(len(self))
+        if step != 1:
+            raise ContractError("recorded samples are read in contiguous slices")
+        stop = max(start, stop)
+        r0 = start // self.spr
+        samples = self.reader.records(self.i, r0, -(-stop // self.spr))
+        return samples[start - r0 * self.spr : stop - r0 * self.spr]
+
+
+def parse_edf(data: bytes):
+    """Decode one EDF file held in memory. Returns (EdfHeader, [SignalTrace])."""
+    reader = EdfReader(io.BytesIO(data))
+    return reader.header, [replace(trace, digital=trace.digital[:]) for trace in reader.traces()]
 
 
 def _pack(value, width: int, name: str) -> bytes:
@@ -407,5 +474,5 @@ def annotation_hypnogram(traces: list[SignalTrace]) -> Hypnogram | None:
     """The hypnogram in the first EDF+ annotation signal, or None without one."""
     for trace in traces:
         if ANNOTATION_LABEL.lower() in trace.signal.label.lower():
-            return parse_tal_annotations(trace.digital.tobytes())
+            return parse_tal_annotations(trace.digital[:].tobytes())
     return None

@@ -13,6 +13,9 @@ from .metrics import N_CLASSES, STAGE_NAMES
 
 SAMPLING_MODES = ("none", "easy", "easy+difficult")
 
+# signal values EpochStore checks for finiteness at a time
+FINITE_CHECK_VALUES = 1 << 17
+
 
 class EpochStore:
     """Immutable pool of labeled 30-second epochs, one run of record ids per subject.
@@ -25,12 +28,10 @@ class EpochStore:
     """
 
     def __init__(self, parts):
-        self.subjects: list = []
-        self._bounds = [0]
-        signals, labels = [], []
+        subjects, counts, signals, labels = [], [], [], []
+        i = 0   # the first record id of the part
         for subject, x, y in parts:
             x = np.asarray(x, dtype=np.float64)
-            i = self._bounds[-1]
             if len(x) != len(y):
                 raise DataError(f"record {i}: {len(x)} signals but {len(y)} labels")
             if not len(y):
@@ -40,22 +41,50 @@ class EpochStore:
             if signals and x.shape[1:] != signals[0].shape[1:]:
                 raise DataError(f"record {i}: signal shape {x.shape[1:]} differs from first "
                                 f"record {signals[0].shape[1:]}")
-            if subject in self.subjects:
-                raise DataError(
-                    f"record {i}: subject {subject!r} reappears after {self.subjects[-1]!r}; "
-                    "a subject's records must be consecutive"
-                )
-            self.subjects.append(subject)
-            self._bounds.append(i + len(y))
+            subjects.append(subject)
+            counts.append(len(y))
             signals.append(x)
             labels.append(y)
+            i += len(y)
         if not signals:
             raise DataError("epoch store needs at least one record")
-        self.signals = np.concatenate(signals)     # (n, 1, T)
-        self.labels = np.concatenate(labels).astype(np.int64)
-        bad = ~np.isfinite(self.signals).all(axis=(1, 2))
-        if bad.any():
-            raise DataError(f"record {bad.argmax()}: signal has non-finite values")
+        self._index(subjects, counts, np.concatenate(signals), np.concatenate(labels))
+
+    @classmethod
+    def from_arrays(cls, subjects: list, counts: list, signals: np.ndarray,
+                    labels: np.ndarray) -> EpochStore:
+        """The store of signals (n, 1, T) float64 and labels (n,), held
+        without a copy, whose first counts[0] records are subjects[0]'s, the
+        next counts[1] subjects[1]'s, and so on; every count positive."""
+        store = cls.__new__(cls)
+        store._index(subjects, counts, signals, labels)
+        return store
+
+    def _index(self, subjects, counts, signals, labels) -> None:
+        """Check the records and build the per-class index (see from_arrays)."""
+        self.subjects: list = []
+        self._bounds = [0]
+        for subject, count in zip(subjects, counts):
+            if subject in self.subjects:
+                raise DataError(
+                    f"record {self._bounds[-1]}: subject {subject!r} reappears after "
+                    f"{self.subjects[-1]!r}; a subject's records must be consecutive"
+                )
+            self.subjects.append(subject)
+            self._bounds.append(self._bounds[-1] + count)
+        if self._bounds[-1] == 0:
+            raise DataError("epoch store needs at least one record")
+        if not len(signals) == len(labels) == self._bounds[-1]:
+            raise ContractError(f"{len(signals)} signals and {len(labels)} labels for "
+                                f"{self._bounds[-1]} records")
+        self.signals = signals     # (n, 1, T)
+        self.labels = np.asarray(labels).astype(np.int64, copy=False)
+        # by blocks of rows, so the check's mask stays small beside the store
+        rows = max(1, FINITE_CHECK_VALUES // max(1, signals[0].size))
+        for first in range(0, len(signals), rows):
+            bad = ~np.isfinite(signals[first : first + rows]).all(axis=(1, 2))
+            if bad.any():
+                raise DataError(f"record {first + bad.argmax()}: signal has non-finite values")
         bad = (self.labels < 0) | (self.labels >= N_CLASSES)
         if bad.any():
             i = bad.argmax()

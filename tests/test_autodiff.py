@@ -295,6 +295,28 @@ class TestGelu:
             expect = g * (ndtr(x_val) + x_val * pdf)
         assert got.tobytes() == expect.tobytes()
 
+    def test_no_grad_output_bitwise_equal_to_grad_path(self, rng):
+        special = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 1e-300, -1e-300]
+        x_val = np.concatenate([special, rng.normal(size=200_000)])
+        with np.errstate(invalid="ignore"):   # -inf * Phi(-inf) is inf * 0
+            with_grad = ad.gelu(_param(x_val)).data
+            with ad.no_grad():
+                without = ad.gelu(_param(x_val))
+        assert without.node is None
+        assert without.data.tobytes() == with_grad.tobytes()
+
+    def test_no_grad_allocates_only_the_output(self, rng):
+        x = Tensor(rng.normal(size=(1 << 20,)))        # 8 MB
+        ad.gelu(x)
+        tracemalloc.start()
+        try:
+            y = ad.gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.node is None
+        assert peak < 1.25 * x.data.nbytes
+
 
 class TestRelu:
     def test_elementwise(self):

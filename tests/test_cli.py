@@ -478,6 +478,10 @@ class TestInspectEdf:
         assert "n_signals: 2" in text
         assert "fs=10" in text
         assert "annotations: 30 entries" in text
+        # EDF+ subfields: code sex birthdate name; Startdate date admin technician equipment
+        assert "patient: 'synth000 X X X'\n" in text
+        assert "recording: 'Startdate 01-JAN-2000 X X X'\n" in text
+        assert "start: 01.01.00 00.00.00\n" in text
 
     def test_prints_annotations(self, tmp_path, capsys):
         path = tmp_path / "night.edf"

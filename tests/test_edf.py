@@ -1,19 +1,25 @@
 """EDF writer/parser round trips, header validation offsets, and TAL decoding."""
 
+import io
 import math
+import tempfile
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from sst import edf
 from sst.edf import (
     HEADER_FIELDS,
     SIGNAL_FIELDS,
     STAGE_TEXT,
     TAL_RECORD_BYTES,
     EdfHeader,
+    EdfReader,
     EdfSignalHeader,
     Hypnogram,
     SignalTrace,
@@ -24,7 +30,7 @@ from sst.edf import (
     parse_tal_annotations,
     write_edf,
 )
-from sst.errors import DataError, ParseError
+from sst.errors import ContractError, DataError, ParseError
 from sst.metrics import EPOCH_S, N_CLASSES
 
 from conftest import SLOPPY_IDS, sloppy_fields, tal_edf
@@ -205,48 +211,132 @@ class TestSignalTrace:
         assert peak <= 1.5 * len(blob)
 
 
+@st.composite
+def edf_blobs(draw):
+    """EDF bytes of 1-4 signals, each with its own samples_per_record, and
+    1-9 records of random int16 samples."""
+    sprs = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    n_records = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signals = [EdfSignalHeader(
+        label=f"S{i}", transducer="", phys_dim="uV", phys_min=-1.0, phys_max=1.0,
+        dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=spr,
+    ) for i, spr in enumerate(sprs)]
+    header = EdfHeader(
+        version="0", patient="X", recording="X", start_date="01.01.00", start_time="00.00.00",
+        header_bytes=0, reserved="", n_records=n_records, record_duration_s=1.0,
+        n_signals=len(sprs), signals=signals,
+    )
+    digital = [rng.integers(-32768, 32768, size=n_records * spr, dtype=np.int16) for spr in sprs]
+    return write_edf(header, digital), sprs, n_records
+
+
+class TestEdfReader:
+    @settings(max_examples=150, deadline=None)
+    @given(case=edf_blobs(), buffer=st.sampled_from([1, 40, edf.READ_BUFFER_BYTES]),
+           data=st.data())
+    def test_records_are_the_parsed_trace_sliced(self, case, buffer, data):
+        """Any records r0:r1 of any signal, read from a file through a buffer
+        of any size, are that slice of parse_edf's trace and of the raw
+        record table; a trace's samples sliced anywhere are the slice."""
+        blob, sprs, n_records = case
+        _, parsed = parse_edf(blob)
+        table = np.frombuffer(blob, dtype="<i2", offset=256 * (1 + len(sprs)))
+        table = table.reshape(n_records, sum(sprs))
+        starts = np.cumsum([0, *sprs])
+        with tempfile.TemporaryFile() as fh, mock.patch.object(edf, "READ_BUFFER_BYTES", buffer):
+            fh.write(blob)
+            reader = EdfReader(fh)
+            traces = reader.traces()
+            for i, spr in enumerate(sprs):
+                r0 = data.draw(st.integers(0, n_records))
+                r1 = data.draw(st.integers(r0, n_records))
+                got = reader.records(i, r0, r1)
+                assert got.dtype == np.int16
+                assert got.tobytes() == parsed[i].digital[r0 * spr : r1 * spr].tobytes()
+                assert got.tobytes() == table[r0:r1, starts[i] : starts[i + 1]].tobytes()
+                n = n_records * spr
+                assert len(traces[i].digital) == n
+                a, b = data.draw(st.integers(-n - 2, n + 2)), data.draw(st.integers(-n - 2, n + 2))
+                assert traces[i].digital[a:b].tobytes() == parsed[i].digital[a:b].tobytes()
+
+    @pytest.mark.parametrize("r0,r1", [(-1, 1), (1, 0), (0, 3)])
+    def test_records_outside_the_file_are_refused(self, r0, r1):
+        reader = EdfReader(io.BytesIO(write_edf(one_signal_header(), [np.zeros(6, np.int16)])))
+        with pytest.raises(ContractError, match="outside 0:2"):
+            reader.records(0, r0, r1)
+
+    def test_strided_slice_is_refused(self):
+        reader = EdfReader(io.BytesIO(write_edf(one_signal_header(), [np.zeros(6, np.int16)])))
+        with pytest.raises(ContractError, match="contiguous"):
+            reader.traces()[0].digital[::2]
+
+    def test_file_cut_after_opening_is_a_parse_error(self):
+        blob = write_edf(one_signal_header(), [np.zeros(6, np.int16)])
+        fh = io.BytesIO(blob)
+        reader = EdfReader(fh)
+        fh.truncate(len(blob) - 1)
+        with pytest.raises(ParseError, match="file ends inside data record 1") as err:
+            reader.records(0, 0, 2)
+        assert err.value.offset == len(blob) - 1
+
+
+def read_file(blob):
+    """(header, traces) of EdfReader over a file holding blob, every trace read whole."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(blob)
+        reader = EdfReader(fh)
+        return reader.header, [replace(t, digital=t.digital[:]) for t in reader.traces()]
+
+
 class TestParseErrors:
+    """Each malformed file is refused alike from bytes in memory and from a file."""
+
+    @pytest.fixture(params=["bytes", "file"])
+    def parse(self, request):
+        return parse_edf if request.param == "bytes" else read_file
+
     def blob(self):
         return write_edf(one_signal_header(), [np.arange(6, dtype=np.int16)])
 
-    def test_too_short(self):
+    def test_too_short(self, parse):
         with pytest.raises(ParseError) as err:
-            parse_edf(b"0       ")
+            parse(b"0       ")
         assert err.value.offset is not None
 
-    def test_cut_mid_record(self):
+    def test_cut_mid_record(self, parse):
         blob = self.blob()
         with pytest.raises(ParseError) as err:
-            parse_edf(blob[:-3])
+            parse(blob[:-3])
         assert err.value.offset is not None
         assert "offset" in str(err.value)
 
-    def test_non_numeric_field(self):
+    def test_non_numeric_field(self, parse):
         blob = bytearray(self.blob())
         blob[184:192] = b"XXXXXXXX"  # header_bytes field
         with pytest.raises(ParseError) as err:
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
         assert err.value.offset == 184
 
-    def test_header_bytes_mismatch(self):
+    def test_header_bytes_mismatch(self, parse):
         blob = bytearray(self.blob())
         blob[184:192] = b"768     "
         with pytest.raises(ParseError, match="header_bytes"):
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
 
-    def test_digital_range_inverted(self):
+    def test_digital_range_inverted(self, parse):
         blob = bytearray(self.blob())
         # dig_min field of signal 0 starts at 256 + 16 + 80 + 8 + 8 + 8 = 376
         blob[376:384] = b"100     "
         with pytest.raises(ParseError, match="digital min"):
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
 
     @pytest.mark.parametrize("duration", [b"0       ", b"nan     ", b"-1      "])
-    def test_record_duration_must_be_positive_and_finite(self, duration):
+    def test_record_duration_must_be_positive_and_finite(self, parse, duration):
         blob = bytearray(self.blob())
         blob[244:252] = duration  # record_duration_s field
         with pytest.raises(ParseError, match="record_duration_s") as err:
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
         assert err.value.offset == 244
 
     @pytest.mark.parametrize("field,at,value", [
@@ -254,34 +344,35 @@ class TestParseErrors:
         ("phys_max", 368, b"inf     "),
         ("phys_min", 360, b"-inf    "),
     ])
-    def test_physical_range_must_be_finite(self, field, at, value):
+    def test_physical_range_must_be_finite(self, parse, field, at, value):
         blob = bytearray(self.blob())
         blob[at : at + 8] = value  # signal 0 phys_min at 256 + 16 + 80 + 8 = 360
         with pytest.raises(ParseError, match=field) as err:
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
         assert err.value.offset == at
 
-    def test_physical_range_overflow(self):
+    def test_physical_range_overflow(self, parse):
         blob = bytearray(self.blob())
         blob[360:376] = b"-1e308  1e308   "
         with pytest.raises(ParseError, match="physical range") as err:
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
         assert err.value.offset == 360
 
-    def test_sample_map_overflow(self):
+    def test_sample_map_overflow(self, parse):
         blob = bytearray(self.blob())
         # phys 0..1e308 over dig 0..1: a stored 5 would map to 5e308
         blob[360:392] = b"0       1e308   0       1       "
         with pytest.raises(ParseError, match="maps int16 samples outside float64") as err:
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
         assert err.value.offset == 368
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(changes=st.lists(st.tuples(st.sampled_from(sorted(NUMERIC_FIELDS)), _NUMBERS),
                             min_size=1, max_size=4, unique_by=lambda c: c[0]))
     @example(changes=[("phys_min", 0), ("phys_max", 1e308), ("dig_min", 0), ("dig_max", 1)])
     @example(changes=[("record_duration_s", 5e-324)])
-    def test_numeric_header_mutations(self, changes):
+    def test_numeric_header_mutations(self, parse, changes):
         """Any numbers in the numeric header fields: the file parses to traces
         with a positive, finite rate and finite samples, or it is refused with
         a ParseError at an offset."""
@@ -292,7 +383,7 @@ class TestParseErrors:
             assume(len(text) <= width)
             blob[at : at + width] = text.encode("ascii").ljust(width)
         try:
-            _, traces = parse_edf(bytes(blob))
+            _, traces = parse(bytes(blob))
         except ParseError as exc:
             assert exc.offset is not None
             return
@@ -301,11 +392,11 @@ class TestParseErrors:
             assert np.isfinite(trace.physical(0, len(trace.digital))).all()
 
     @pytest.mark.parametrize("field,at,raw", sloppy_fields(1), ids=SLOPPY_IDS)
-    def test_sloppy_field_is_refused_at_its_offset(self, field, at, raw):
+    def test_sloppy_field_is_refused_at_its_offset(self, parse, field, at, raw):
         blob = bytearray(self.blob())
         blob[at : at + len(raw)] = raw
         with pytest.raises(ParseError) as err:
-            parse_edf(bytes(blob))
+            parse(bytes(blob))
         assert err.value.offset == at
         assert field in str(err.value) and f"(offset {at})" in str(err.value)
 

@@ -1,6 +1,7 @@
 """Epoch slicing, resampling fidelity, annotation-labelled nights, and the
 synthetic dataset generator with its EDF+ export."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -12,9 +13,20 @@ from hypothesis import strategies as st
 from scipy.signal import firwin, resample_poly
 
 from sst import ingest
-from sst.edf import EdfHeader, EdfSignalHeader, Hypnogram, SignalTrace, parse_edf, write_edf
-from sst.errors import ConfigError, DataError
-from sst.metrics import EPOCH_S
+from sst.edf import (
+    STAGE_TEXT,
+    EdfHeader,
+    EdfSignalHeader,
+    Hypnogram,
+    SignalTrace,
+    annotation_hypnogram,
+    annotation_signal,
+    encode_tal,
+    parse_edf,
+    write_edf,
+)
+from sst.errors import ConfigError, DataError, ParseError
+from sst.metrics import EPOCH_S, N_CLASSES
 from sst.sampling import EpochStore
 from sst.ingest import (
     epoch_and_label,
@@ -91,18 +103,23 @@ PATTERNS = {
 }
 
 
-def maximal_runs(stages):
-    return sum(1 for k, s in enumerate(stages) if s is not None and (k == 0 or stages[k - 1] is None))
+def run_pieces(stages, piece):
+    """Resamplings of the maximal runs of kept stages, piece epochs at a time."""
+    runs = [len(list(run)) for dropped, run in itertools.groupby(stages, key=lambda s: s is None)
+            if not dropped]
+    return sum(-(-n // piece) for n in runs)
 
 
 class TestScoredSpanResampling:
-    """Resampling only the kept runs gives the bytes of resampling the whole
-    trace and slicing it."""
+    """Resampling only the kept runs, a piece at a time, gives the bytes of
+    resampling the whole trace and slicing it."""
 
     @pytest.mark.parametrize("fs,target", RATE_PAIRS)
     @pytest.mark.parametrize("short", [0, 1])
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-    def test_matches_resample_then_slice(self, fs, target, short, pattern, monkeypatch):
+    @pytest.mark.parametrize("span", [ingest.SPAN_SAMPLES, 1], ids=["span_default", "span_1"])
+    def test_matches_resample_then_slice(self, fs, target, short, pattern, span, monkeypatch):
+        monkeypatch.setattr(ingest, "SPAN_SAMPLES", span)
         stages = PATTERNS[pattern]
         rng = np.random.default_rng(fs + target + short)
         # short=1: one sample short of whole epochs; downsampled, the
@@ -125,7 +142,8 @@ class TestScoredSpanResampling:
         assert len(signals) == len(kept)
         for k, signal in zip(kept, signals):
             assert signal.tobytes() == full[k * T : (k + 1) * T].reshape(1, T).tobytes()
-        assert len(calls) == maximal_runs(stages[:n_full])
+        # an epoch is 30*target output and 30*fs input samples
+        assert len(calls) == run_pieces(stages[:n_full], max(1, span // (30 * max(fs, target))))
         if pattern != "all_kept":
             assert sum(calls) < n
 
@@ -172,6 +190,90 @@ class TestTalLabels:
         assert mixed.spans() == [("night10", 0, 3), ("night20", 3, 6)]
         assert mixed.signals.tobytes() == b"".join(store.signals.tobytes() for store in alone)
         assert mixed.labels.tobytes() == b"".join(store.labels.tobytes() for store in alone)
+
+
+def night_behind_an_unused_signal(rng, fs, texts):
+    """EDF+ bytes of one 30 s record per entry of texts: an unused signal at
+    7 Hz, then the EEG at fs Hz, then the annotation signal scoring record k
+    as texts[k]."""
+    def signal(label, rate):
+        return EdfSignalHeader(
+            label=label, transducer="", phys_dim="uV", phys_min=-100.0, phys_max=100.0,
+            dig_min=-32768, dig_max=32767, prefilter="", samples_per_record=30 * rate,
+        )
+
+    header = EdfHeader(
+        version="0", patient="X", recording="X", start_date="01.01.00", start_time="00.00.00",
+        header_bytes=0, reserved="EDF+C", n_records=len(texts), record_duration_s=30.0,
+        n_signals=3, signals=[signal("EOG horizontal", 7), signal("EEG Fpz-Cz", fs),
+                              annotation_signal()],
+    )
+    digital = [rng.integers(-32768, 32768, size=len(texts) * 30 * rate, dtype=np.int16)
+               for rate in (7, fs)]
+    return write_edf(header, [*digital, encode_tal(texts)])
+
+
+def scattered_texts(rng, n):
+    """n stage texts, about one in eight 'Sleep stage ?'."""
+    return [STAGE_TEXT[s] if rng.random() > 0.125 else "Sleep stage ?"
+            for s in rng.integers(0, N_CLASSES, size=n)]
+
+
+class TestNightsFromFiles:
+    """load_edf_store reads each night from its file in two passes."""
+
+    @pytest.mark.parametrize("rates", [(10, 20), (20, 8)])
+    def test_store_is_epoch_and_label_over_parsed_traces(self, rng, tmp_path, capsys, rates):
+        expected, labels, dropped = [], [], 0
+        for k, fs in enumerate(rates):
+            blob = night_behind_an_unused_signal(rng, fs, scattered_texts(rng, 24))
+            (tmp_path / f"night{k}.edf").write_bytes(blob)
+            traces = parse_edf(blob)[1]
+            eeg = select_trace(traces, "EEG")
+            stages = annotation_hypnogram(traces).stages_for_epochs(
+                ingest._epoch_grid(eeg, 10)[1], EPOCH_S)
+            signals, n = epoch_and_label(eeg, stages, 10)
+            expected.append(signals)
+            labels += [stage for stage in stages if stage is not None]
+            dropped += n
+        store = load_edf_store(str(tmp_path), "EEG", 10)
+        assert store.signals.tobytes() == np.concatenate(expected).tobytes()
+        assert store.labels.tolist() == labels
+        assert store.spans() == [("night0", 0, len(expected[0])),
+                                 ("night1", len(expected[0]), len(labels))]
+        assert f"dropped {dropped} epochs" in capsys.readouterr().err
+
+    def test_truncated_night_is_refused_with_its_size(self, rng, tmp_path):
+        blob = night_behind_an_unused_signal(rng, 10, scattered_texts(rng, 4))
+        (tmp_path / "a.edf").write_bytes(tal_edf(10, ["Sleep stage W"]))
+        (tmp_path / "b.edf").write_bytes(blob[:-7])
+        with pytest.raises(ParseError, match=f"file is {len(blob) - 7} bytes, header promises "
+                                             f"{len(blob)}") as err:
+            load_edf_store(str(tmp_path), "EEG", 10)
+        assert err.value.offset == len(blob) - 7
+
+    def test_peak_is_the_store_plus_bounded_buffers(self, tmp_path):
+        """200 Hz nights read at 100 Hz, each behind an unused signal, every
+        16th epoch unscored: the load holds the store and the buffers of one
+        run, and more nights do not add to those buffers."""
+        rng = np.random.default_rng(3)
+        for k in range(3):
+            texts = [STAGE_TEXT[s] for s in rng.integers(0, N_CLASSES, size=160)]
+            texts[15::16] = ["Sleep stage ?"] * 10
+            (tmp_path / f"night{k}.edf").write_bytes(night_behind_an_unused_signal(rng, 200, texts))
+        load_edf_store(str(tmp_path / "night0.edf"), "EEG", 100)   # filter design, imports
+        overheads = []
+        for path in (tmp_path / "night0.edf", tmp_path):
+            tracemalloc.start()
+            try:
+                store = load_edf_store(str(path), "EEG", 100)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= store.signals.nbytes + 4 * 2**20
+            overheads.append(peak - store.signals.nbytes)
+            del store
+        assert overheads[1] <= overheads[0] + 2**16
 
 
 class TestResample:
@@ -360,9 +462,17 @@ class TestSynthDataset:
 class TestExportEdf:
     def test_non_ascii_subject_is_a_data_error(self, rng, tmp_path):
         store = EpochStore([("é", rng.standard_normal((1, 1, 300)), [0])])
-        with pytest.raises(DataError, match="field patient value 'é' is not ASCII"):
+        with pytest.raises(DataError, match="field patient value 'é X X X' is not ASCII"):
             export_edf(store, 10, str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+    def test_patient_field_is_subfielded_with_spaces_as_underscores(self, rng, tmp_path):
+        store = EpochStore([("night one", rng.standard_normal((1, 1, 300)), [0])])
+        export_edf(store, 10, str(tmp_path))
+        header, _ = parse_edf((tmp_path / "night one.edf").read_bytes())
+        assert header.patient == "night_one X X X"
+        assert header.recording == "Startdate 01-JAN-2000 X X X"
+        assert load_edf_store(str(tmp_path), "EEG", 10).subjects == ["night one"]
 
     def test_export_loads_back_as_digitized(self, tmp_path, capsys):
         store = synth_dataset(3, 7, fs=10, rng=np.random.default_rng(2))

@@ -4,6 +4,7 @@ provenance frequencies, and the easy/difficult memory protocol."""
 import numpy as np
 import pytest
 
+from sst import sampling
 from sst.errors import ContractError, DataError
 from sst.sampling import (
     EpochStore,
@@ -60,11 +61,22 @@ class TestEpochStore:
             EpochStore([("a", rng.standard_normal((1, 1, 8)), [5])])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_signal_names_record(self, rng, bad):
+    @pytest.mark.parametrize("block", [sampling.FINITE_CHECK_VALUES, 8, 20])
+    def test_non_finite_signal_names_record(self, rng, monkeypatch, bad, block):
+        # the check runs block values (whole records, at least one) at a time
+        monkeypatch.setattr(sampling, "FINITE_CHECK_VALUES", block)
         signals = rng.standard_normal((4, 1, 8))
         signals[2, 0, 5] = bad
         with pytest.raises(DataError, match="record 2: signal has non-finite values"):
             EpochStore([("a", signals, [0] * 4)])
+
+    def test_from_arrays_holds_the_arrays(self, rng):
+        signals, labels = rng.standard_normal((5, 1, 8)), np.array([0, 1, 2, 3, 4])
+        store = EpochStore.from_arrays(["a", "b"], [2, 3], signals, labels)
+        assert store.signals is signals
+        assert store.spans() == [("a", 0, 2), ("b", 2, 5)]
+        with pytest.raises(ContractError, match="5 signals and 5 labels for 4 records"):
+            EpochStore.from_arrays(["a", "b"], [2, 2], signals, labels)
 
     @pytest.mark.parametrize("fault,message", [
         ("nan", "record 5: signal has non-finite values"),

@@ -314,39 +314,29 @@ def gelu(a: Tensor) -> Tensor:
     """
     x = a.data
     x1 = x.reshape(1) if x.ndim == 0 else x
-    grad = _GRAD_ENABLED and a.requires_grad
-    # The derivative cdf + x * pdf(x), evaluated in one buffer in the same
-    # operation order as that expression, is all the rule keeps. Allocating
-    # it after cdf and before the output measured the steadiest page-fault
-    # count per training step on the README desk model. Without a gradient,
-    # Phi goes straight into the output, which x then scales in place: Phi*x
-    # is x*Phi to the bit.
-    cdf = np.empty(x1.shape) if grad else None
-    d = np.empty(x1.shape) if grad else None
+    # Phi goes straight into the output. With a gradient, the derivative
+    # Phi + x * pdf(x) is built from it in one buffer, in the same operation
+    # order as that expression; that buffer is all the rule keeps. Then x
+    # scales the output in place: Phi*x is x*Phi to the bit.
+    d = np.empty(x1.shape) if _GRAD_ENABLED and a.requires_grad else None
     out = np.empty(x1.shape)
 
     def rows(block):
         xb, ob = x1[block], out[block]
-        if d is None:
-            ndtr(xb, out=ob)
-            ob *= xb
-            return
-        cb, db = cdf[block], d[block]
-        ndtr(xb, out=cb)
-        np.multiply(xb, -0.5, out=db)
-        db *= xb
-        np.exp(db, out=db)
-        db *= _INV_SQRT_2PI
-        db *= xb
-        db += cb
-        np.multiply(xb, cb, out=ob)
+        ndtr(xb, out=ob)
+        if d is not None:
+            db = d[block]
+            np.multiply(xb, -0.5, out=db)
+            db *= xb
+            np.exp(db, out=db)
+            db *= _INV_SQRT_2PI
+            db *= xb
+            db += ob
+        ob *= xb
 
     _parallel(rows, x1.shape[0], x1.size, _TASK_FLOOR)
-    out = out.reshape(x.shape)
-    if d is None:
-        return Tensor(out)
-    d = d.reshape(x.shape)
-    return _make(out, (a,), lambda g: (g * d,))
+    d = None if d is None else d.reshape(x.shape)
+    return _make(out.reshape(x.shape), (a,), lambda g: (g * d,))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 
 from .checkpoint import load_checkpoint, replacing, save_checkpoint
 from .config import load_run_config
-from .edf import annotation_hypnogram, parse_edf
+from .edf import EdfReader, annotation_hypnogram
 from .errors import ConfigError, SstError
 from .ingest import export_edf, load_store
 from .metrics import STAGE_NAMES, MetricsReport
@@ -59,8 +59,6 @@ def _metrics_payload(report: MetricsReport, history: list) -> dict:
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     run.check_sequence_length(run.model.S, "[model] S")
-    if args.seed is not None:
-        run.train.seed = args.seed
     store = load_store(run.data, run.model, role="train")
     params, summary = train(store, run.train, run.model)
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params)
@@ -97,8 +95,10 @@ def cmd_transfer(args) -> int:
 
 def cmd_inspect_edf(args) -> int:
     with open(args.path, "rb") as fh:
-        data = fh.read()
-    header, traces = parse_edf(data)
+        reader = EdfReader(fh)
+        traces = reader.traces()
+        hyp = annotation_hypnogram(traces)
+    header = reader.header
     print(f"version: {header.version!r}")
     print(f"patient: {header.patient!r}")
     print(f"recording: {header.recording!r}")
@@ -109,7 +109,6 @@ def cmd_inspect_edf(args) -> int:
         print(f"signal {i}: {sig.label!r} fs={trace.fs:g} Hz spr={sig.samples_per_record} "
               f"phys=[{sig.phys_min:g}, {sig.phys_max:g}] {sig.phys_dim} "
               f"dig=[{sig.dig_min}, {sig.dig_max}]")
-    hyp = annotation_hypnogram(traces)
     if hyp is not None:
         print(f"annotations: {len(hyp.entries)} entries")
         for onset, duration, stage in hyp.entries[:5]:
@@ -160,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model from a run config")
     p_train.add_argument("--config", required=True, help="run config file")
     p_train.add_argument("--out", default="run", help="output directory")
-    p_train.add_argument("--seed", type=int, default=None,
-                         help="override the config's [train] seed")
     p_train.set_defaults(func=cmd_train)
 
     p_transfer = sub.add_parser("transfer", help="evaluate a checkpoint on test data")

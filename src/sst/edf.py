@@ -342,7 +342,7 @@ def write_edf(header: EdfHeader, digital: list[np.ndarray]) -> bytes:
                 f"signal {i}: {arr.size} samples, header promises "
                 f"{header.n_records}*{sig.samples_per_record}"
             )
-        if arr.min() < sig.dig_min or arr.max() > sig.dig_max:
+        if arr.size and (arr.min() < sig.dig_min or arr.max() > sig.dig_max):
             raise DataError(f"signal {i}: digital values leave [{sig.dig_min}, {sig.dig_max}]")
         arrays.append(arr.astype("<i2").reshape(header.n_records, sig.samples_per_record))
     for r in range(header.n_records):
@@ -470,9 +470,14 @@ def parse_tal_annotations(data: bytes) -> Hypnogram:
     return Hypnogram(entries)
 
 
+def is_annotation(trace: SignalTrace) -> bool:
+    """Whether the trace is an EDF+ annotation signal: TAL bytes, not samples."""
+    return ANNOTATION_LABEL.lower() in trace.signal.label.lower()
+
+
 def annotation_hypnogram(traces: list[SignalTrace]) -> Hypnogram | None:
     """The hypnogram in the first EDF+ annotation signal, or None without one."""
     for trace in traces:
-        if ANNOTATION_LABEL.lower() in trace.signal.label.lower():
+        if is_annotation(trace):
             return parse_tal_annotations(trace.digital[:].tobytes())
     return None

@@ -28,6 +28,7 @@ from .edf import (
     annotation_signal,
     digital_from_physical,
     encode_tal,
+    is_annotation,
     write_edf,
 )
 from .errors import ConfigError, DataError
@@ -270,13 +271,15 @@ def _lowpass(numtaps: int, cutoff: float, beta: float) -> np.ndarray:
 
 
 def select_trace(traces: list[SignalTrace], label_match: str) -> SignalTrace:
-    """First trace whose label contains label_match, case-insensitive."""
+    """First trace whose label contains label_match, case-insensitive, that
+    is not an annotation signal."""
+    data = [t for t in traces if not is_annotation(t)]
     needle = label_match.lower()
-    for trace in traces:
+    for trace in data:
         if needle in trace.signal.label.lower():
             return trace
-    available = ", ".join(repr(t.signal.label) for t in traces)
-    raise DataError(f"no signal label contains {label_match!r}; available: {available}")
+    available = ", ".join(repr(t.signal.label) for t in data)
+    raise DataError(f"no data signal label contains {label_match!r}; available: {available}")
 
 
 def synth_dataset(

@@ -302,8 +302,21 @@ class TestGelu:
             with_grad = ad.gelu(_param(x_val)).data
             with ad.no_grad():
                 without = ad.gelu(_param(x_val))
+            closed_form = x_val * ndtr(x_val)
         assert without.node is None
-        assert without.data.tobytes() == with_grad.tobytes()
+        assert without.data.tobytes() == with_grad.tobytes() == closed_form.tobytes()
+
+    def test_grad_allocates_only_output_and_derivative(self, rng):
+        # a GELU at paper width: B=4 windows of S=20 epochs, 64 channels, 246 samples
+        x = _param(rng.normal(size=(80, 64, 246)))
+        tracemalloc.start()
+        try:
+            y = ad.gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.node is not None
+        assert peak <= 2 * y.data.nbytes + (1 << 20)
 
     def test_no_grad_allocates_only_the_output(self, rng):
         x = Tensor(rng.normal(size=(1 << 20,)))        # 8 MB

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ import sst.training
 from sst.checkpoint import save_checkpoint
 from sst.cli import main
 from sst.config import RunConfig, load_run_config
-from sst.edf import STAGE_TEXT, annotation_hypnogram, parse_edf
+from sst.edf import (
+    READ_BUFFER_BYTES,
+    STAGE_TEXT,
+    TAL_RECORD_BYTES,
+    annotation_hypnogram,
+    parse_edf,
+)
 from sst.errors import (
     ConfigError,
     ContractError,
@@ -191,10 +198,10 @@ class TestTrain:
         (data / "long0.edf").write_bytes(tal_edf(10, cycle))
         (data / "long1.edf").write_bytes(tal_edf(10, cycle))
         (data / "short.edf").write_bytes(tal_edf(10, cycle[:1]))
-        path = write_config(tmp_path, CONFIG.replace("source = synth",
-                                                     f"source = edf\npath = {data}"))
+        text = CONFIG.replace("source = synth", f"source = edf\npath = {data}")
+        path = write_config(tmp_path, text.replace("seed = 11", "seed = 4"))
         # seed 4 sends 'short', one epoch against S = 2, to validation
-        assert main(["train", "--config", path, "--out", str(tmp_path / "o"), "--seed", "4"]) == 2
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert ("validation store has no subject with 2 consecutive epochs"
                 in capsys.readouterr().err)
 
@@ -237,24 +244,19 @@ class TestTrain:
         save_checkpoint(str(tmp_path / "api.ckpt"), params)
         assert (out / "checkpoint.ckpt").read_bytes() == (tmp_path / "api.ckpt").read_bytes()
 
-    def test_seed_flag_changes_run(self, config_path, tmp_path):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        main(["train", "--config", config_path, "--out", out_a, "--seed", "11"])
-        main(["train", "--config", config_path, "--out", out_b, "--seed", "12"])
-        hist_a = read_json(os.path.join(out_a, "run_summary.json"))["history"]
-        hist_b = read_json(os.path.join(out_b, "run_summary.json"))["history"]
-        assert hist_a != hist_b
+    def test_annotation_signal_as_channel_exits_two(self, tmp_path, capsys):
+        edf_dir = tal_nights(tmp_path / "edf", 10)
+        path = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {edf_dir}\nchannel = EDF"))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert ("no data signal label contains 'EDF'; available: 'EEG Fpz-Cz'"
+                in capsys.readouterr().err)
 
-    def test_seed_flag_zero_overrides_config(self, config_path, tmp_path):
-        out_flag = str(tmp_path / "flag")
-        out_file = str(tmp_path / "file")
-        assert main(["train", "--config", config_path, "--out", out_flag, "--seed", "0"]) == 0
-        zero = write_config(tmp_path, CONFIG.replace("seed = 11", "seed = 0"), "zero.ini")
-        assert main(["train", "--config", zero, "--out", out_file]) == 0
-        flag = read_json(os.path.join(out_flag, "run_summary.json"))
-        assert flag["seed"] == 0
-        assert flag["history"] == read_json(os.path.join(out_file, "run_summary.json"))["history"]
+    def test_seed_flag_exits_one(self, config_path, tmp_path, capsys):
+        # a run's seed is its config's [train] seed
+        assert main(["train", "--config", config_path, "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_repeat_run_identical_outputs(self, config_path, tmp_path):
         out_a = str(tmp_path / "a")
@@ -502,6 +504,21 @@ class TestInspectEdf:
             "  +60s 30s REM\n"
         )
         assert captured.err == ""
+
+    def test_reads_the_annotation_signal_alone(self, tmp_path, capsys):
+        # a 100 Hz night of 1,400 records: 8.5 MB, 89.6 kB of it TAL
+        n_records = 1400
+        path = tmp_path / "night.edf"
+        path.write_bytes(tal_edf(100, [STAGE_TEXT[k % 5] for k in range(n_records)]))
+        assert path.stat().st_size >= 8 << 20
+        tracemalloc.start()
+        try:
+            assert main(["inspect-edf", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"annotations: {n_records} entries\n" in capsys.readouterr().out
+        assert peak <= READ_BUFFER_BYTES + n_records * TAL_RECORD_BYTES + (1 << 20)
 
     def test_truncated_file_exits_two_with_offset(self, edf_file, tmp_path, capsys):
         with open(edf_file, "rb") as fh:

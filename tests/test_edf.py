@@ -133,6 +133,15 @@ class TestRoundTrip:
         again = write_edf(parsed, [traces[0].digital])
         assert again == blob
 
+    def test_no_records_is_a_header_only_file(self):
+        blob = write_edf(one_signal_header(n_records=0), [np.zeros(0, dtype=np.int16)])
+        assert len(blob) == 512
+        _, traces = parse_edf(blob)
+        reader = EdfReader(io.BytesIO(blob))
+        assert reader.header.n_records == 0
+        assert reader.records(0, 0, 0).size == len(reader.traces()[0].digital) == 0
+        assert traces[0].digital.dtype == np.int16 and traces[0].digital.size == 0
+
     def test_writer_rejects_out_of_range(self):
         header = one_signal_header(n_records=1)
         with pytest.raises(DataError):
@@ -214,9 +223,9 @@ class TestSignalTrace:
 @st.composite
 def edf_blobs(draw):
     """EDF bytes of 1-4 signals, each with its own samples_per_record, and
-    1-9 records of random int16 samples."""
+    0-9 records of random int16 samples."""
     sprs = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
-    n_records = draw(st.integers(1, 9))
+    n_records = draw(st.integers(0, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     signals = [EdfSignalHeader(
         label=f"S{i}", transducer="", phys_dim="uV", phys_min=-1.0, phys_max=1.0,

@@ -410,6 +410,16 @@ class TestSelectTrace:
         with pytest.raises(DataError, match="EOG horizontal"):
             select_trace(traces, "EEG")
 
+    @pytest.mark.parametrize("fs,channel", [(8, "annotations"), (10, "EDF")])
+    def test_annotation_signal_is_never_the_channel(self, tmp_path, fs, channel):
+        # at 8 Hz the TAL's 32 samples per record would load as epochs; at
+        # 10 Hz its rate is too far from fs to resample
+        path = tmp_path / "night.edf"
+        path.write_bytes(tal_edf(fs, ["Sleep stage W"] * 4))
+        with pytest.raises(DataError, match=f"^no data signal label contains '{channel}'; "
+                                            "available: 'EEG Fpz-Cz'$"):
+            load_edf_store(str(path), channel, fs)
+
 
 class TestSynthDataset:
     def test_shapes_and_determinism(self):

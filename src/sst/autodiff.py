@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import ctypes
 import heapq
 import itertools
 import os
@@ -51,7 +50,6 @@ _INV_SQRT_2PI = 0.3989422804014327
 # several products per value of its block, a GELU or conv1d forward task one.
 _TASK_FLOOR = 1 << 18
 _CONV_BWD_TASK_FLOOR = 1 << 20
-_M_ARENA_MAX = -8   # glibc's mallopt parameter number
 _POOL: futures.ThreadPoolExecutor | None = None
 
 
@@ -74,13 +72,6 @@ def _pool() -> futures.ThreadPoolExecutor:
     caller's, created on first use."""
     global _POOL
     if _POOL is None:
-        # One malloc heap for every thread: with a heap per pool thread,
-        # memory a task frees stays in that thread's heap and peak RSS grows.
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-            mallopt.restype = ctypes.c_int
-            mallopt(_M_ARENA_MAX, 1)
         _POOL = futures.ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="sst-autodiff")
     return _POOL
 

@@ -430,12 +430,30 @@ def encode_tal(texts) -> np.ndarray:
     return np.frombuffer(b"".join(records), dtype="<i2")
 
 
+def _tal_records(data: bytes):
+    """Yield (index, record) for each non-empty NUL-terminated record of data,
+    where index counts the empty records too, as data.split(b"\\x00") would.
+    The stream is walked in place, a padding run a short slice at a time."""
+    index = pos = 0
+    while pos < len(data):
+        head = data[pos:pos + TAL_RECORD_BYTES]
+        padding = len(head) - len(head.lstrip(b"\x00"))
+        index += padding
+        pos += padding
+        if padding == len(head):
+            continue
+        end = data.find(b"\x00", pos)
+        if end < 0:
+            end = len(data)
+        yield index, data[pos:end]
+        index += 1
+        pos = end + 1
+
+
 def parse_tal_annotations(data: bytes) -> Hypnogram:
     """Decode a TAL byte stream: records of +onset[\\x15dur]\\x14text\\x14...\\x00."""
     entries = []
-    for index, record in enumerate(data.split(b"\x00")):
-        if not record:
-            continue
+    for index, record in _tal_records(data):
         try:
             text = record.decode("utf-8")
         except UnicodeDecodeError:

@@ -461,6 +461,29 @@ class TestTal:
         with pytest.raises(ParseError, match="record 1"):
             parse_tal_annotations(blob)
 
+    @given(blob=st.lists(st.sampled_from([b"\x00", b"+", b"-", b"\x14", b"\x15", b"30", b"x",
+                                          b"Sleep stage W", b"\xff"]), max_size=80).map(b"".join))
+    @example(blob=b"\x00" * 3 * TAL_RECORD_BYTES + b"+0\x14")
+    def test_records_and_indices_are_the_split_items(self, blob):
+        """The walk yields the non-empty items of blob.split(b"\\x00") at their
+        split indices, which every ParseError names."""
+        split = [(index, record) for index, record in enumerate(blob.split(b"\x00")) if record]
+        assert list(edf._tal_records(blob)) == split
+
+    def test_walks_the_stream_in_place(self):
+        """A night's TAL stream (2,640 data records of two TALs each, the rest
+        of each record NUL padding) is decoded without a list of its split
+        items: those were about 32 empty items a record, 1.2 MB here."""
+        stream = encode_tal(STAGE_TEXT[k % N_CLASSES] for k in range(2640)).tobytes()
+        tracemalloc.start()
+        try:
+            hyp = parse_tal_annotations(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(hyp.entries) == 2640
+        assert peak <= 600_000
+
     @settings(max_examples=50, deadline=None)
     @given(stages=st.lists(st.integers(0, N_CLASSES - 1), max_size=40))
     @example(stages=list(range(N_CLASSES)))

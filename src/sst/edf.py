@@ -119,6 +119,13 @@ class SignalTrace:
         gain = (sig.phys_max - sig.phys_min) / (sig.dig_max - sig.dig_min)
         return (self.digital[a:b].astype(np.float64) - sig.dig_min) * gain + sig.phys_min
 
+    def __len__(self) -> int:
+        return len(self.digital)
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        """trace[a:b] is physical(a, b)."""
+        return self.physical(span.start, span.stop)
+
 
 class _Cursor:
     def __init__(self, data: bytes):

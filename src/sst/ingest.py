@@ -44,19 +44,13 @@ if TYPE_CHECKING:
 DEFAULT_CLASS_FREQ_FRACTIONS = (0.02, 0.06, 0.11, 0.17, 0.23)
 
 MAX_RESAMPLE_FACTOR = 64
-# low-pass taps per polyphase branch: sizes the filter and the span margin
+# low-pass taps per polyphase branch: sizes the filter and the input a block
+# reads beyond its own
 TAPS_PER_PHASE = 64
 # Kaiser window shape of the resampling low-pass
 KAISER_BETA = 8.6
-# input samples one resampling chunk spans: bounds its buffers at about 1 MB
+# input samples one resampling block spans: bounds its buffers at about 1 MB
 CHUNK_INPUTS = 1 << 16
-# input or output samples, whichever are more, that epoch_and_label resamples
-# at a time (whole epochs, at least one): bounds the buffers of one span at
-# about 16 MB. Much smaller pieces let glibc trim the heap after each one, so
-# the next faults its pages in again: at 2**16, loading the two edf_transfer
-# nights (fresh process, 2 vCPU) took 62k minor faults instead of 6.5k and
-# about a fifth longer.
-SPAN_SAMPLES = 1 << 20
 
 
 def load_edf_store(path: str, channel: str, fs: float) -> EpochStore:
@@ -127,29 +121,23 @@ def epoch_and_label(trace: SignalTrace, stages: list, fs: float, out: np.ndarray
 
     stages holds one stage or None per epoch from the start of the trace, at
     most as many as the trace has. Only the runs of kept epochs are read and
-    resampled, each into its rows of one array: the first rows of out when
-    given, else a new one. A run is resampled in pieces of whole epochs, as
-    many as fit in SPAN_SAMPLES input or output samples (at least one), so
-    its buffers stay small however long it is. Returns (signals (k, 1, T),
-    dropped): the kept epochs in order and the count of None stages.
+    resampled, each by one resample call straight into its rows of one
+    contiguous array: the first rows of out when given, else a new one.
+    Returns (signals (k, 1, T), dropped): the kept epochs in order and the
+    count of None stages.
     """
     T, _ = _epoch_grid(trace, fs)
     dropped = stages.count(None)
     if out is None:
         out = np.empty((len(stages) - dropped, 1, T))
     signals = out[: len(stages) - dropped]
-    L, M = _rate_ratio(trace.fs, fs)
-    piece = max(1, SPAN_SAMPLES // max(T, -(-T * M // L)))
     row = 0
     for is_dropped, run in itertools.groupby(range(len(stages)), key=lambda k: stages[k] is None):
-        if is_dropped:
-            continue
-        run = list(run)
-        for first in range(run[0], run[-1] + 1, piece):
-            n = min(piece, run[-1] + 1 - first)
-            span = _resampled_span(trace, first * T, (first + n) * T, fs)
-            signals[row : row + n, 0] = span.reshape(n, T)
-            row += n
+        if not is_dropped:
+            run = list(run)
+            rows = signals[row : row + len(run)].reshape(-1)
+            resample(trace, trace.fs, fs, run[0] * T, (run[-1] + 1) * T, out=rows)
+            row += len(run)
     return signals, dropped
 
 
@@ -165,21 +153,6 @@ def _epoch_grid(trace: SignalTrace, fs: float):
             f"epoch length {EPOCH_S}s at {fs}Hz is {t_float} samples, not an integer"
         )
     return T, n // T
-
-
-def _resampled_span(trace: SignalTrace, start: int, stop: int, target_fs: float) -> np.ndarray:
-    """Samples start:stop of the whole trace in physical units resampled to
-    target_fs, converting and resampling only the input the span depends on."""
-    L, M = _rate_ratio(trace.fs, target_fs)
-    # Output m sits at input m*M/L and its taps reach about TAPS_PER_PHASE/2
-    # input samples either way, so one filter length of margin covers them.
-    # Starting on a multiple of M puts the segment's outputs on the whole
-    # trace's output grid, a*L/M samples in, with the same taps in the same order.
-    margin = _filter_length(L)
-    a = max(0, (start * M // L - margin) // M * M)
-    b = min(len(trace.digital), -(-stop * M // L) + margin)
-    offset = a * L // M
-    return resample(trace.physical(a, b), trace.fs, target_fs)[start - offset : stop - offset]
 
 
 def _rate_ratio(fs: float, target_fs: float) -> tuple[int, int]:
@@ -202,49 +175,63 @@ def _filter_length(L: int) -> int:
     return TAPS_PER_PHASE * L + 1
 
 
-def resample(samples: np.ndarray, fs: float, target_fs: float) -> np.ndarray:
-    """Polyphase rational resampling of samples at fs to target_fs.
+def resample(samples, fs: float, target_fs: float, start: int = 0, stop: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Outputs start:stop (all of them by default) of the polyphase rational
+    resampling of samples at fs to target_fs, written into out when given,
+    else into a new array, and returned.
 
     The low-pass is a Kaiser-windowed sinc, TAPS_PER_PHASE taps per phase,
     with each polyphase branch normalized to unit DC gain so constants pass
     through exactly. Output length is ceil(n * L / M); equal rates give a copy.
 
     Output m is the sum over input n of x[n] * L*h[TAPS_PER_PHASE/2*L + m*M - n*L],
-    added up from zero in increasing n. Those are the sums of
-    scipy.signal.resample_poly(x, L, M, window=h), so for finite input the
-    bits are its bits too. Outputs m = r, r + L, r + 2L, ... share one
-    polyphase branch of h and step M inputs apart; each such class is summed
-    a chunk at a time, one multiply and one add per tap over the M
-    contiguous polyphase components of the chunk's input span.
+    added up from zero in increasing n, with x zero beyond its ends. Those
+    are the sums of scipy.signal.resample_poly(x, L, M, window=h), so for
+    finite input the bits are its bits too, whatever range is asked for.
+
+    samples is read only through len(samples) and samples[a:b]: an array,
+    or a SignalTrace, whose slices are in physical units. The outputs are
+    computed a block of about CHUNK_INPUTS inputs at a time. A block's input
+    is read once, zero-padded beyond the ends of samples, and split into its
+    M polyphase components. Outputs m = r, r + L, r + 2L, ... share one
+    polyphase branch of h and step M inputs, one component row, apart; each
+    of the L such classes sums its outputs in the block from those
+    components, one multiply and one add per tap.
     """
     L, M = _rate_ratio(fs, target_fs)
-    if L == M:
-        return samples.copy()
-    g = _resampling_filter(L, M) * L
     n_in = len(samples)
-    n_out = -(-n_in * L // M)
-    out = np.empty(n_out)
-    chunk = max(1, CHUNK_INPUTS // M)
-    for r in range(min(L, n_out)):
-        # output r + L*i is the sum of taps[d] * x[base + M*i + d], d ascending
-        taps = g[r * M % L :: L][::-1]
-        base = TAPS_PER_PHASE // 2 + r * M // L - (len(taps) - 1)
-        count = -(-(n_out - r) // L)
-        for first in range(0, count, chunk):
-            size = min(chunk, count - first)
-            rows = size + -(-(len(taps) - 1) // M)
-            start = base + M * first
-            span = np.zeros(rows * M)
-            lo, hi = max(start, 0), min(start + rows * M, n_in)
-            if lo < hi:
-                span[lo - start : hi - start] = samples[lo:hi]
-            comps = np.ascontiguousarray(span.reshape(rows, M).T)
+    stop = -(-n_in * L // M) if stop is None else stop
+    out = np.empty(stop - start) if out is None else out
+    g = _resampling_filter(L, M) * L if L != M else None
+    half = TAPS_PER_PHASE // 2
+    frames = max(1, CHUNK_INPUTS // M)   # a frame is L outputs from M inputs
+    last = -(-stop // L)
+    for i0 in range(start // L, last, frames):
+        i1 = min(i0 + frames, last)
+        if L == M:
+            out[i0 - start : i1 - start] = samples[i0:i1]
+            continue
+        # the block's outputs draw on inputs M*i0 - half to M*i1 + half
+        a = M * i0 - half
+        rows = i1 - i0 + -(-2 * half // M)
+        x = np.zeros(rows * M)
+        lo, hi = max(a, 0), min(a + rows * M, n_in)
+        x[lo - a : hi - a] = samples[lo:hi]
+        comps = np.ascontiguousarray(x.reshape(rows, M).T)
+        for r in range(L):
+            # output r + L*i is the sum of taps[d] * x[base + M*i + d], d ascending
+            taps = g[r * M % L :: L][::-1]
+            base = half + r * M // L - (len(taps) - 1) - a
+            first = -(-(max(start, L * i0) - r) // L)
+            size = -(-(min(stop, L * i1) - r) // L) - first
             acc = np.zeros(size)
             prod = np.empty(size)
-            for d, tap in enumerate(taps):
+            for d, tap in enumerate(taps, base + M * first):
                 np.multiply(comps[d % M, d // M : d // M + size], tap, out=prod)
                 acc += prod
-            out[r + L * first : r + L * (first + size) : L] = acc
+            at = r + L * first - start
+            out[at : at + L * size : L] = acc
     return out
 
 

@@ -103,23 +103,31 @@ PATTERNS = {
 }
 
 
-def run_pieces(stages, piece):
-    """Resamplings of the maximal runs of kept stages, piece epochs at a time."""
-    runs = [len(list(run)) for dropped, run in itertools.groupby(stages, key=lambda s: s is None)
-            if not dropped]
-    return sum(-(-n // piece) for n in runs)
+def kept_runs(stages):
+    """(first, stop) epoch of each maximal run of kept stages."""
+    runs, k = [], 0
+    for dropped, run in itertools.groupby(stages, key=lambda s: s is None):
+        n = len(list(run))
+        if not dropped:
+            runs.append((k, k + n))
+        k += n
+    return runs
 
 
 class TestScoredSpanResampling:
-    """Resampling only the kept runs, a piece at a time, gives the bytes of
-    resampling the whole trace and slicing it."""
+    """Resampling only the kept runs, one resample call each, gives the
+    bytes of resampling the whole trace and slicing it, and reads the
+    dropped runs only within a filter length of a kept one."""
 
     @pytest.mark.parametrize("fs,target", RATE_PAIRS)
     @pytest.mark.parametrize("short", [0, 1])
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-    @pytest.mark.parametrize("span", [ingest.SPAN_SAMPLES, 1], ids=["span_default", "span_1"])
-    def test_matches_resample_then_slice(self, fs, target, short, pattern, span, monkeypatch):
-        monkeypatch.setattr(ingest, "SPAN_SAMPLES", span)
+    # 4096 inputs: 64 outputs per phase class and block at M = 64, and
+    # several blocks per run at every pair
+    @pytest.mark.parametrize("chunk", [ingest.CHUNK_INPUTS, 4096],
+                             ids=["chunk_default", "chunk_4096"])
+    def test_matches_resample_then_slice(self, fs, target, short, pattern, chunk, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_INPUTS", chunk)
         stages = PATTERNS[pattern]
         rng = np.random.default_rng(fs + target + short)
         # short=1: one sample short of whole epochs; downsampled, the
@@ -132,9 +140,12 @@ class TestScoredSpanResampling:
         assert ingest._epoch_grid(trace, target) == (T, n_full)
         hyp = Hypnogram([(30.0 * k, 30.0, s) for k, s in enumerate(stages)])
 
-        calls = []
+        calls, reads = [], []
         monkeypatch.setattr(ingest, "resample",
-                            lambda x, fs_in, fs_out: calls.append(len(x)) or resample(x, fs_in, fs_out))
+                            lambda *args, **kw: calls.append(args[3:]) or resample(*args, **kw))
+        physical = SignalTrace.physical
+        monkeypatch.setattr(SignalTrace, "physical",
+                            lambda self, a, b: reads.append((a, b)) or physical(self, a, b))
         signals, dropped = epoch_and_label(trace, hyp.stages_for_epochs(n_full, EPOCH_S), target)
 
         kept = [k for k in range(n_full) if stages[k] is not None]
@@ -142,10 +153,15 @@ class TestScoredSpanResampling:
         assert len(signals) == len(kept)
         for k, signal in zip(kept, signals):
             assert signal.tobytes() == full[k * T : (k + 1) * T].reshape(1, T).tobytes()
-        # an epoch is 30*target output and 30*fs input samples
-        assert len(calls) == run_pieces(stages[:n_full], max(1, span // (30 * max(fs, target))))
+        runs = kept_runs(stages[:n_full])
+        assert calls == [(first * T, stop * T) for first, stop in runs]
+        # an epoch is 30*fs input samples
+        reach = ingest._filter_length(ingest._rate_ratio(fs, target)[0])
+        for a, b in reads:
+            assert any(first * 30 * fs - reach <= a and b <= stop * 30 * fs + reach
+                       for first, stop in runs)
         if pattern != "all_kept":
-            assert sum(calls) < n
+            assert sum(b - a for a, b in reads) < n
 
 class TestTalLabels:
     def test_epochs_labelled_from_annotation_signal(self, tmp_path, capsys):
@@ -355,6 +371,7 @@ class TestResampleOracle:
     @example(case=(1, 2, 3000, ingest.CHUNK_INPUTS), seed=0)   # 200 -> 100 Hz, one epoch
     @example(case=(4, 5, 3750, ingest.CHUNK_INPUTS), seed=1)   # 125 -> 100 Hz, one epoch
     @example(case=(5, 4, 1, ingest.CHUNK_INPUTS), seed=2)      # 8 -> 10 Hz, one sample
+    @example(case=(25, 64, 3000, 97), seed=5)                  # 256 -> 100 Hz, one frame a block
     @example(case=(64, 1, 3, 1), seed=3)                       # steepest upsampling
     @example(case=(1, 64, 129, 1), seed=4)                     # steepest downsampling
     def test_matches_resample_poly(self, case, seed):
@@ -366,9 +383,23 @@ class TestResampleOracle:
         ref = resample_poly(x, L, M, window=ingest._resampling_filter(L, M))
         assert out.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("fs,target", [(200, 100), (125, 100), (100, 125)])
+    @settings(max_examples=40, deadline=None)
+    @given(case=resample_cases(), seed=st.integers(0, 2**32 - 1),
+           start=st.integers(0, 4000), stop=st.integers(0, 4000))
+    @example(case=(4, 5, 3750, 97), seed=6, start=1, stop=2999)   # 125 -> 100 Hz, mid-frame ends
+    def test_range_is_a_slice_of_the_whole(self, case, seed, start, stop):
+        L, M, n, chunk = case
+        x = np.random.default_rng(seed).standard_normal(n)
+        whole = resample(x, M, L)
+        start = min(start, len(whole))
+        stop = min(max(start, stop), len(whole))
+        with mock.patch.object(ingest, "CHUNK_INPUTS", chunk):
+            part = resample(x, M, L, start, stop)
+        assert part.tobytes() == whole[start:stop].tobytes()
+
+    @pytest.mark.parametrize("fs,target", [(200, 100), (125, 100), (100, 125), (256, 100)])
     def test_long_night_matches_resample_poly(self, fs, target, rng):
-        # several chunks per phase class at the real chunk size
+        # several blocks at the real block size
         x = rng.standard_normal(5 * ingest.CHUNK_INPUTS + 17) * 50.0
         L, M = ingest._rate_ratio(fs, target)
         ref = resample_poly(x, L, M, window=ingest._resampling_filter(L, M))

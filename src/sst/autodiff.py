@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
+from . import workers
 from .errors import ContractError, DimensionError
 
 _SEQ = itertools.count()
@@ -63,16 +64,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _pool() -> futures.ThreadPoolExecutor:
     """The process's pool: one thread per CPU the process may run on, less the
     caller's, created on first use."""
     global _POOL
     if _POOL is None:
-        _POOL = futures.ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="sst-autodiff")
+        _POOL = futures.ThreadPoolExecutor(workers.cpus() - 1, thread_name_prefix="sst-autodiff")
     return _POOL
 
 
@@ -88,7 +85,7 @@ def _parallel(task: Callable[[slice], None], count: int, values: int, floor: int
     """
     tasks = min(count, values // floor)
     if tasks >= 2:
-        tasks = min(tasks, _cpus())
+        tasks = min(tasks, workers.cpus())
     if tasks < 2:
         task(slice(None))
         return

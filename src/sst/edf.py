@@ -289,11 +289,16 @@ class EdfReader:
 
 class _RecordedSamples:
     """The int16 samples of one signal of an EdfReader's file. A slice reads
-    the data records that cover it; len is the signal's sample count."""
+    the data records that cover it; len is the signal's sample count.
+
+    The records of the last slice are kept, and a slice that starts inside
+    them takes them from there: slices that each start inside the one before,
+    as a resampler's overlapping blocks do, read each record once."""
 
     def __init__(self, reader: EdfReader, i: int):
         self.reader, self.i = reader, i
         self.spr = reader.header.signals[i].samples_per_record
+        self._kept = (0, np.empty(0, dtype="<i2"))   # (first record, samples of its records)
 
     def __len__(self) -> int:
         return self.reader.header.n_records * self.spr
@@ -303,8 +308,16 @@ class _RecordedSamples:
         if step != 1:
             raise ContractError("recorded samples are read in contiguous slices")
         stop = max(start, stop)
-        r0 = start // self.spr
-        samples = self.reader.records(self.i, r0, -(-stop // self.spr))
+        r0, r1 = start // self.spr, -(-stop // self.spr)
+        first, kept = self._kept
+        end = first + len(kept) // self.spr
+        if first <= r0 < end:
+            samples = kept[(r0 - first) * self.spr :]
+            if r1 > end:
+                samples = np.concatenate([samples, self.reader.records(self.i, end, r1)])
+        else:
+            samples = self.reader.records(self.i, r0, r1)
+        self._kept = (r0, samples)
         return samples[start - r0 * self.spr : stop - r0 * self.spr]
 
 

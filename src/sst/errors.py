@@ -2,7 +2,8 @@
 
 Each class declares in `exit_code` what the CLI returns when it ends a
 command: 1 for a usage or configuration problem, 2 for input data or a file
-that cannot be parsed, 3 for a numerical failure at run time.
+that cannot be parsed, 3 for a numerical failure at run time, 4 for a worker
+process that died without reporting an error.
 """
 
 
@@ -52,3 +53,10 @@ class NumericalError(SstError):
     """Non-finite loss or other numerical breakdown during training."""
 
     exit_code = 3
+
+
+class WorkerError(SstError):
+    """A forked worker process ended without reporting an error (a signal
+    such as SIGKILL from the out-of-memory killer, for one)."""
+
+    exit_code = 4

@@ -9,6 +9,7 @@ import functools
 import glob
 import itertools
 import math
+import mmap
 import os
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import i0
 
+from . import workers
 from .edf import (
     ANNOTATION_LABEL,
     STAGE_TEXT,
@@ -59,8 +61,11 @@ def load_edf_store(path: str, channel: str, fs: float) -> EpochStore:
     Labels come from each file's own TAL annotation signal. The epochs are
     those of the channel resampled to fs; only labelled epochs are read and
     resampled. A first pass reads each file's header and annotation signal,
-    so the store is allocated once at its size; a second reads the labelled
-    spans of the channel and resamples them straight into their rows.
+    so the store is allocated once at its size, in memory shared with forked
+    workers; a second reads the labelled spans of the channel and resamples
+    them straight into their rows. The nights with labelled epochs are dealt
+    to one process per CPU (see _deal); the calling process resamples the
+    first share itself.
     """
     if os.path.isdir(path):
         files = sorted(glob.glob(os.path.join(path, "*.edf")))
@@ -72,6 +77,7 @@ def load_edf_store(path: str, channel: str, fs: float) -> EpochStore:
         raise DataError(f"no .edf files under {path}")
 
     nights, subjects, counts, labels = [], [], [], []
+    dropped = 0
     for filename in files:
         with open(filename, "rb") as fh:
             traces = EdfReader(fh).traces()
@@ -81,24 +87,48 @@ def load_edf_store(path: str, channel: str, fs: float) -> EpochStore:
             raise DataError(f"{filename}: no '{ANNOTATION_LABEL}' signal to label its epochs")
         T, n_epochs = _epoch_grid(trace, fs)   # T is EPOCH_S * fs for every night
         stages = hyp.stages_for_epochs(n_epochs, EPOCH_S)
-        nights.append((filename, stages))
         kept = [stage for stage in stages if stage is not None]
+        dropped += len(stages) - len(kept)
         if kept:
+            nights.append((filename, stages, len(labels)))
             subjects.append(os.path.splitext(os.path.basename(filename))[0])
             counts.append(len(kept))
             labels += kept
 
-    signals = np.empty((len(labels), 1, T))
-    row = dropped = 0
-    for filename, stages in nights:
-        with open(filename, "rb") as fh:
-            trace = select_trace(EdfReader(fh).traces(), channel)
-            part, night_dropped = epoch_and_label(trace, stages, fs, signals[row:])
-        row += len(part)
-        dropped += night_dropped
+    signals = _shared_rows(len(labels), T)
+    workers.run_parts(functools.partial(_fill_rows, signals, channel, fs),
+                      _deal(nights, counts, workers.cpus()),
+                      describe=lambda part: ", ".join(filename for filename, _, _ in part))
     if dropped:
         print(f"dropped {dropped} epochs without a fully covering stage", file=sys.stderr)
     return EpochStore.from_arrays(subjects, counts, signals, np.array(labels, dtype=np.int64))
+
+
+def _shared_rows(n: int, T: int) -> np.ndarray:
+    """An (n, 1, T) float64 array in an anonymous shared mapping, so that
+    forked workers write into the caller's rows."""
+    return np.frombuffer(mmap.mmap(-1, max(1, 8 * n * T)), count=n * T).reshape(n, 1, T)
+
+
+def _deal(nights: list, counts: list, ways: int) -> list[list]:
+    """The nights in at most `ways` contiguous groups of about equal kept
+    epochs (counts): each night goes to the group its middle epoch falls in."""
+    total = sum(counts)
+    groups = [[] for _ in range(min(ways, len(nights)))]
+    before = 0
+    for night, count in zip(nights, counts):
+        groups[(2 * before + count) * len(groups) // (2 * total)].append(night)
+        before += count
+    return [group for group in groups if group]
+
+
+def _fill_rows(signals: np.ndarray, channel: str, fs: float, part: list) -> None:
+    """Resample the kept epochs of each (file, stages, first row) night of
+    part into its rows of signals."""
+    for filename, stages, row in part:
+        with open(filename, "rb") as fh:
+            trace = select_trace(EdfReader(fh).traces(), channel)
+            epoch_and_label(trace, stages, fs, signals[row:])
 
 
 def load_store(data: DataConfig, model: ModelConfig, role: str) -> EpochStore:

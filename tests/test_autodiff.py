@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from sst import autodiff as ad
+from sst import workers
 from sst.autodiff import Tensor
 from sst.errors import ContractError, DimensionError
 from sst.model import ModelConfig, ModelParams
@@ -546,7 +547,7 @@ def _floors(monkeypatch, floor):
     """Split every op that has at least `floor` values per task, over three CPUs."""
     monkeypatch.setattr(ad, "_TASK_FLOOR", floor)
     monkeypatch.setattr(ad, "_CONV_BWD_TASK_FLOOR", floor)
-    monkeypatch.setattr(ad, "_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "cpus", lambda: 3)
 
 
 class TestSplitOps:
@@ -595,7 +596,7 @@ class TestSplitOps:
         assert results[0] == results[1]
 
     def test_forked_child_drops_the_inherited_pool(self, monkeypatch, rng):
-        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "cpus", lambda: 2)
         x = _param(rng.normal(size=(4, 8, 1 << 16)))    # 2**18 values per task
         kern = _param(rng.normal(size=(4, 8, 3)))
         ad.gelu(x)                                       # the pool and its thread exist

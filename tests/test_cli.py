@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import sst.autodiff
 import sst.cli
+import sst.ingest
 import sst.training
+import sst.workers
 from sst.checkpoint import save_checkpoint
 from sst.cli import main
 from sst.config import RunConfig, load_run_config
@@ -369,6 +370,23 @@ class TestTransfer:
         assert (f"checkpoint config line 'D=8' must be a 'C=' line (offset {cut + 4})"
                 in capsys.readouterr().err)
 
+    def test_parse_error_in_a_worker_exits_two(self, config_path, tmp_path, capsys, monkeypatch):
+        edf_dir = tal_nights(tmp_path / "edf20", 20)
+        eval_cfg = write_config(tmp_path, CONFIG.replace(
+            "source = synth", f"source = edf\npath = {edf_dir}"), "eval.ini")
+        caller, real = os.getpid(), sst.ingest.epoch_and_label
+
+        def failing(trace, stages, fs, out=None):
+            if os.getpid() != caller:
+                raise ParseError("a worker's night ends early", offset=3)
+            return real(trace, stages, fs, out)
+        monkeypatch.setattr(sst.ingest, "epoch_and_label", failing)
+        monkeypatch.setattr(sst.workers, "cpus", lambda: 2)
+        assert main(["transfer", random_checkpoint(config_path, tmp_path), "--config", eval_cfg,
+                     "--out", str(tmp_path / "tr")]) == 2
+        assert "error: a worker's night ends early (offset 3)\n" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tr")
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_resample_rate_exits_one(self, config_path, tmp_path, capsys, rate):
         edf_dir = str(tmp_path / "edf")
@@ -426,7 +444,7 @@ class TestCheckpointMutation:
         # At paper widths the second path's GELUs and convs run split across
         # threads: with both its kernels at 1e300 the second conv overflows in
         # a pool thread, which must not warn under the caller's np.errstate.
-        monkeypatch.setattr(sst.autodiff, "_cpus", lambda: 2)
+        monkeypatch.setattr(sst.workers, "cpus", lambda: 2)
         text = re.sub(r"\[model\]\n(.+\n)+", "[model]\n\n", CONFIG)   # ModelConfig defaults
         text = text.replace("test_epochs = 12", "test_epochs = 20").replace(
             "seq_len = 2", "seq_len = 20")

@@ -3,6 +3,9 @@ synthetic dataset generator with its EDF+ export."""
 
 import itertools
 import math
+import os
+import signal
+import time
 import tracemalloc
 from unittest import mock
 
@@ -12,10 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import firwin, resample_poly
 
-from sst import ingest
+from sst import ingest, workers
 from sst.edf import (
     STAGE_TEXT,
     EdfHeader,
+    EdfReader,
     EdfSignalHeader,
     Hypnogram,
     SignalTrace,
@@ -25,7 +29,7 @@ from sst.edf import (
     parse_edf,
     write_edf,
 )
-from sst.errors import ConfigError, DataError, ParseError
+from sst.errors import ConfigError, DataError, ParseError, WorkerError
 from sst.metrics import EPOCH_S, N_CLASSES
 from sst.sampling import EpochStore
 from sst.ingest import (
@@ -268,28 +272,134 @@ class TestNightsFromFiles:
             load_edf_store(str(tmp_path), "EEG", 10)
         assert err.value.offset == len(blob) - 7
 
-    def test_peak_is_the_store_plus_bounded_buffers(self, tmp_path):
+    def test_peak_is_the_store_plus_bounded_buffers(self, tmp_path, monkeypatch):
         """200 Hz nights read at 100 Hz, each behind an unused signal, every
-        16th epoch unscored: the load holds the store and the buffers of one
-        run, and more nights do not add to those buffers."""
+        16th epoch unscored, on one CPU: beside the store (a shared mapping,
+        which tracemalloc does not see) the load holds the buffers of one run,
+        and more nights do not add to those buffers."""
+        monkeypatch.setattr(workers, "cpus", lambda: 1)
         rng = np.random.default_rng(3)
         for k in range(3):
             texts = [STAGE_TEXT[s] for s in rng.integers(0, N_CLASSES, size=160)]
             texts[15::16] = ["Sleep stage ?"] * 10
             (tmp_path / f"night{k}.edf").write_bytes(night_behind_an_unused_signal(rng, 200, texts))
         load_edf_store(str(tmp_path / "night0.edf"), "EEG", 100)   # filter design, imports
-        overheads = []
+        peaks = []
         for path in (tmp_path / "night0.edf", tmp_path):
             tracemalloc.start()
             try:
-                store = load_edf_store(str(path), "EEG", 100)
-                peak = tracemalloc.get_traced_memory()[1]
+                load_edf_store(str(path), "EEG", 100)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert peak <= store.signals.nbytes + 4 * 2**20
-            overheads.append(peak - store.signals.nbytes)
-            del store
-        assert overheads[1] <= overheads[0] + 2**16
+        assert peaks[0] <= 4 * 2**20
+        assert peaks[1] <= peaks[0] + 2**16
+
+    @pytest.mark.parametrize("chunk", [97, 4000, ingest.CHUNK_INPUTS])
+    def test_each_record_is_read_once(self, tmp_path, monkeypatch, chunk):
+        """Resampling blocks overlap by half a filter, across record bounds."""
+        monkeypatch.setattr(workers, "cpus", lambda: 1)
+        monkeypatch.setattr(ingest, "CHUNK_INPUTS", chunk)
+        rng = np.random.default_rng(4)
+        texts = [STAGE_TEXT[s] for s in rng.integers(0, N_CLASSES, size=12)]
+        (tmp_path / "night.edf").write_bytes(night_behind_an_unused_signal(rng, 200, texts))
+        expected = load_edf_store(str(tmp_path), "EEG", 100).signals.tobytes()
+        read, records = [], EdfReader.records
+
+        def counted(reader, i, r0, r1):
+            read.extend([i] * (r1 - r0))
+            return records(reader, i, r0, r1)
+        monkeypatch.setattr(EdfReader, "records", counted)
+        assert load_edf_store(str(tmp_path), "EEG", 100).signals.tobytes() == expected
+        assert read.count(1) == len(texts)   # the EEG is signal 1
+
+
+def four_nights(directory):
+    """Nights at 200, 125, 256 and 100 Hz, eight epochs each behind an unused
+    signal; the 125 Hz night has no scored epoch."""
+    rng = np.random.default_rng(8)
+    for k, fs in enumerate((200, 125, 256, 100)):
+        texts = ["Sleep stage ?"] * 8 if fs == 125 else scattered_texts(rng, 8)
+        (directory / f"night{k}.edf").write_bytes(night_behind_an_unused_signal(rng, fs, texts))
+    return str(directory)
+
+
+def in_a_worker(action):
+    """epoch_and_label, but for the 100 Hz night in a forked worker, action()."""
+    caller, real = os.getpid(), ingest.epoch_and_label
+
+    def patched(trace, stages, fs, out=None):
+        if trace.fs == 100 and os.getpid() != caller:
+            action()
+        return real(trace, stages, fs, out)
+    return patched
+
+
+class TestNightsInWorkers:
+    """load_edf_store's second pass in forked workers, one per CPU."""
+
+    def test_nights_are_dealt_in_contiguous_groups_of_about_equal_epochs(self):
+        nights = list("abcde")
+        assert ingest._deal(nights, [5, 1, 1, 1, 4], 2) == [["a", "b"], ["c", "d", "e"]]
+        assert ingest._deal(nights, [5, 1, 1, 1, 4], 3) == [["a"], ["b", "c", "d"], ["e"]]
+        assert ingest._deal(nights[:3], [10, 1, 1], 3) == [["a"], ["b", "c"]]
+        assert ingest._deal(nights[:1], [3], 4) == [["a"]]
+
+    @pytest.mark.parametrize("cpus, name", [(1, ""), (3, "night0.edf")])
+    def test_one_cpu_or_one_night_forks_nothing(self, tmp_path, monkeypatch, cpus, name):
+        path = os.path.join(four_nights(tmp_path), name)
+        expected = load_edf_store(path, "EEG", 100).signals.tobytes()
+
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        assert load_edf_store(path, "EEG", 100).signals.tobytes() == expected
+
+    def test_any_cpu_count_gives_the_same_store(self, tmp_path, monkeypatch):
+        path = four_nights(tmp_path)
+        stores = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(workers, "cpus", lambda n=n: n)
+            store = load_edf_store(path, "EEG", 100)
+            stores.append((store.signals.tobytes(), store.labels.tobytes(), store.spans()))
+        assert [subject for subject, _, _ in stores[0][2]] == ["night0", "night2", "night3"]
+        assert stores[1] == stores[0]
+        assert stores[2] == stores[0]
+
+    def test_a_workers_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        def bad_record():
+            raise ParseError("night3: bad record", offset=12)
+        monkeypatch.setattr(ingest, "epoch_and_label", in_a_worker(bad_record))
+        monkeypatch.setattr(workers, "cpus", lambda: 3)
+        with pytest.raises(ParseError, match=r"^night3: bad record \(offset 12\)$") as err:
+            load_edf_store(four_nights(tmp_path), "EEG", 100)
+        assert err.value.offset == 12
+
+    def test_a_killed_worker_is_a_worker_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "epoch_and_label",
+                            in_a_worker(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        monkeypatch.setattr(workers, "cpus", lambda: 3)
+        with pytest.raises(WorkerError, match=r"night3\.edf was killed by signal 9 "):
+            load_edf_store(four_nights(tmp_path), "EEG", 100)
+
+    def test_an_interrupted_caller_leaves_no_worker(self, tmp_path, monkeypatch):
+        caller, real = os.getpid(), ingest.epoch_and_label
+
+        def patched(trace, stages, fs, out=None):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return real(trace, stages, fs, out)
+        monkeypatch.setattr(ingest, "epoch_and_label", patched)
+        monkeypatch.setattr(workers, "cpus", lambda: 3)
+        path = four_nights(tmp_path)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            load_edf_store(path, "EEG", 100)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestResample:

@@ -14,7 +14,7 @@ and flags. Inputs no rule reads, such as a conv's output once GELU has
 consumed it, are freed during the forward pass.
 
 GELU and conv1d split a large call into tasks on one thread pool (see
-``_parallel``); each task writes its own slice of a preallocated output with
+``parallel``); each task writes its own slice of a preallocated output with
 the operations, in the order, of the unsplit call, so the results do not
 depend on how many CPUs ran them.
 
@@ -52,6 +52,9 @@ _INV_SQRT_2PI = 0.3989422804014327
 _TASK_FLOOR = 1 << 18
 _CONV_BWD_TASK_FLOOR = 1 << 20
 _POOL: futures.ThreadPoolExecutor | None = None
+# Set in every task `parallel` runs: a split called from inside one runs
+# inline, since a pool thread that waited on its own pool would wait forever.
+_IN_TASK = contextvars.ContextVar("sst_autodiff_in_task", default=False)
 
 
 def _drop_pool() -> None:
@@ -73,32 +76,43 @@ def _pool() -> futures.ThreadPoolExecutor:
     return _POOL
 
 
-def _parallel(task: Callable[[slice], None], count: int, values: int, floor: int) -> None:
+def parallel(task: Callable[[slice], None], count: int, values: int, floor: int) -> None:
     """Run task over the index range [0, count), split into contiguous blocks.
 
     `values` is the work of the whole range. The block count is the least of
     the CPUs, `count` and `values // floor`, so each task gets at least
-    `floor` values; below two blocks, task(slice(None)) runs on the calling
-    thread. Otherwise the first block runs on the calling thread and the rest
-    on the pool, each in a copy of the caller's context, so numpy's error
-    state carries over. Errors are raised once every block has finished.
+    `floor` values; below two blocks, or when called from inside a task of
+    another split, task(slice(None)) runs on the calling thread. Otherwise the
+    first block runs on the calling thread and the rest on the pool, each in a
+    copy of the caller's context, so numpy's error state carries over. Errors
+    are raised once every block has finished.
     """
     tasks = min(count, values // floor)
     if tasks >= 2:
         tasks = min(tasks, workers.cpus())
-    if tasks < 2:
+    if tasks < 2 or _IN_TASK.get():
         task(slice(None))
         return
     edges = [count * i // tasks for i in range(tasks + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    def run(block):
+        _IN_TASK.set(True)
+        task(block)
+
     pool = _pool()
-    pending = [pool.submit(contextvars.copy_context().run, task, b) for b in blocks[1:]]
+    pending = [pool.submit(contextvars.copy_context().run, run, b) for b in blocks[1:]]
     try:
-        task(blocks[0])
+        contextvars.copy_context().run(run, blocks[0])
     finally:
         futures.wait(pending)
     for f in pending:
         f.result()
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops record onto the tape: false inside `no_grad`."""
+    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -322,7 +336,7 @@ def gelu(a: Tensor) -> Tensor:
             db += ob
         ob *= xb
 
-    _parallel(rows, x1.shape[0], x1.size, _TASK_FLOOR)
+    parallel(rows, x1.shape[0], x1.size, _TASK_FLOOR)
     d = None if d is None else d.reshape(x.shape)
     return _make(out.reshape(x.shape), (a,), lambda g: (g * d,))
 
@@ -525,7 +539,7 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         for j in range(1, taps):
             ob += np.matmul(kf[j], xf[block, :, j : j + t_out])
 
-    _parallel(forward_samples, n, out.size, _TASK_FLOOR)
+    parallel(forward_samples, n, out.size, _TASK_FLOOR)
     x_grad = x.requires_grad
 
     def bwd(g):
@@ -537,7 +551,7 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
                 np.matmul(g, xf[:, :, j : j + t_out].swapaxes(1, 2), out=per_sample)
                 per_sample.sum(axis=0, out=gkf[j])
 
-        _parallel(kernel_taps, taps, taps * g.size, _CONV_BWD_TASK_FLOOR)
+        parallel(kernel_taps, taps, taps * g.size, _CONV_BWD_TASK_FLOOR)
         g_kernel = gkf.reshape(taps, c_out, c_in, stride).transpose(1, 2, 0, 3)
         g_kernel = g_kernel.reshape(c_out, c_in, taps * stride)[:, :, :k]
         if not x_grad:
@@ -549,7 +563,7 @@ def conv1d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
             for j in range(taps):
                 gxf[block, :, j : j + t_out] += np.matmul(kf[j].T, gb)
 
-        _parallel(input_samples, n, taps * g.size, _CONV_BWD_TASK_FLOOR)
+        parallel(input_samples, n, taps * g.size, _CONV_BWD_TASK_FLOOR)
         gxp = gxf.reshape(n, c_in, stride, nb).transpose(0, 1, 3, 2).reshape(n, c_in, width)
         if width == t:
             return gxp, g_kernel

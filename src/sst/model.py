@@ -20,6 +20,10 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .metrics import EPOCH_S, N_CLASSES
 
+# Input samples in one block of an inference batch's CNN pass (see _embed):
+# 4 windows at fs = 100 and S = 10, 2 at the paper's S = 20.
+_CNN_BLOCK_SAMPLES = 1 << 17
+
 
 @dataclass
 class ModelConfig:
@@ -279,12 +283,37 @@ def fuse(o_x: Tensor, o_xp: Tensor, params: ModelParams, config: ModelConfig) ->
     return ForwardTrace(o_cnn_x=o_x, o_cnn_xp=o_xp, z=z)
 
 
+def _embed(x: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
+    """cnn_block_forward(x, params, config), in blocks of whole windows when
+    no tape is being recorded.
+
+    A block holds at most _CNN_BLOCK_SAMPLES input samples, so its activations
+    stay in a core's cache; contiguous runs of blocks go to autodiff's pool,
+    one run per CPU, and each writes its own rows of the output. The CNN
+    computes every row on its own, so the blocks give the bytes of one call.
+    """
+    per_block = max(1, _CNN_BLOCK_SAMPLES // (config.S * config.T))
+    n_blocks = -(-x.shape[0] // per_block)
+    if ad.is_grad_enabled() or n_blocks < 2:
+        return cnn_block_forward(x, params, config)
+    out = np.empty((x.shape[0] * config.S, config.N + 1, config.D))
+
+    def blocks(run):
+        for k in range(n_blocks)[run]:
+            lo, hi = k * per_block, min((k + 1) * per_block, x.shape[0])
+            block = cnn_block_forward(Tensor(x.data[lo:hi]), params, config)
+            out[lo * config.S : hi * config.S] = block.data
+
+    ad.parallel(blocks, n_blocks, n_blocks, 1)
+    return Tensor(out)
+
+
 def sst_forward(x: Tensor, xp: Tensor, params: ModelParams, config: ModelConfig) -> ForwardTrace:
     """Full forward pass over a label-matched input pair: embed both inputs
     with the shared CNN, then `fuse`. An input passed as its own companion
     (``xp is x``) is embedded once."""
     if x.shape != xp.shape:
         raise DimensionError(f"paired inputs must share a shape: {x.shape} vs {xp.shape}")
-    o_x = cnn_block_forward(x, params, config)
-    o_xp = o_x if xp is x else cnn_block_forward(xp, params, config)
+    o_x = _embed(x, params, config)
+    o_xp = o_x if xp is x else _embed(xp, params, config)
     return fuse(o_x, o_xp, params, config)

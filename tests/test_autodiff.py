@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -608,14 +609,42 @@ class TestSplitOps:
                 code = 0
             finally:
                 os._exit(code)
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.05)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish its ops within 60 s")
-        assert os.waitstatus_to_exitcode(status) == 0
+        assert _exit_code_within(pid, 60.0, "its ops") == 0
+
+    def test_split_inside_a_task_runs_inline(self, monkeypatch):
+        # With one pool thread, a split that queued onto the pool from inside
+        # a pool task would wait on itself forever; a child bounds the wait.
+        monkeypatch.setattr(workers, "cpus", lambda: 2)
+        outer, inner = [], []
+
+        def inner_task(block):
+            inner.append((threading.get_ident(), block))
+
+        def outer_task(block):
+            outer.append(threading.get_ident())
+            ad.parallel(inner_task, 4, 4 << 20, 1)
+
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                ad.parallel(outer_task, 2, 4 << 20, 1)
+                inline = sorted(inner) == sorted((thread, slice(None)) for thread in outer)
+                code = 0 if len(set(outer)) == 2 and inline else 2
+            finally:
+                os._exit(code)
+        assert _exit_code_within(pid, 60.0, "its nested splits") == 0
+
+
+def _exit_code_within(pid, seconds, what):
+    """The exit code of child pid; the child is killed, and the test fails,
+    when it has not ended within `seconds`."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"the forked child did not finish {what} within {seconds:g} s")

@@ -2,6 +2,7 @@
 the Siamese weight sharing, and gradient checks through an encoder block."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,23 @@ class TestFullForward:
             params, cfg,
         ).z.data
         np.testing.assert_array_equal(z1, z2)
+
+    def test_inference_peak_below_its_batch(self, rng):
+        # A transfer batch at the benchmark's EDF widths: 32 windows of 10
+        # epochs at 100 Hz, 7.7 MB. Embedded whole, path b's folded input and
+        # its conv output alone come to 12.7 MB.
+        cfg = ModelConfig(fs=100, S=10, D=8, N=2, A=2, d=1, ffn_dim=16)
+        params = ModelParams(cfg, rng)
+        x = Tensor(rng.standard_normal((32, cfg.S, 1, cfg.T)))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                trace = sst_forward(x, x, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.z.shape == (32, cfg.S, 5)
+        assert peak < x.data.nbytes
 
     def test_shape_mismatch_rejected(self, rng):
         cfg = toy_config()

@@ -7,12 +7,13 @@ import pytest
 import sst.model
 import sst.training
 from sst import autodiff as ad
+from sst import workers
 from sst.checkpoint import save_checkpoint
 from sst.errors import ConfigError, DataError, NumericalError
 from sst.ingest import synth_dataset
 from sst.losses import total_loss
 from sst.metrics import evaluate_metrics
-from sst.model import ModelConfig, ModelParams, sst_forward
+from sst.model import ModelConfig, ModelParams, fuse, sst_forward
 from sst.optim import CLIP_NORM, AdamState
 from sst.sampling import EpochStore, SamplingMemory, draw_pair_batch
 from sst.training import (
@@ -28,6 +29,7 @@ from sst.training import (
 )
 
 TOY_MODEL = dict(fs=10, S=2, D=8, N=2, A=2, head_dim=4, d=1, ffn_dim=16)
+EDF_MODEL = dict(fs=100, S=10, D=8, N=2, A=2, head_dim=4, d=1, ffn_dim=16)
 
 
 def toy_model_config(**overrides):
@@ -361,6 +363,35 @@ class TestTrainStep:
         n_batches = -(-len(windows) // cfg.batch_size)
         assert len(calls) == n_batches     # X' := X is embedded once per batch
         assert sum(calls) == len(windows)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("widths", [TOY_MODEL, EDF_MODEL, {}], ids=["desk", "fs100-D8", "paper"])
+    def test_each_input_embedded_once_in_blocks(self, monkeypatch, widths, cpus):
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        model_cfg = ModelConfig(**widths)
+        per_block = sst.model._CNN_BLOCK_SAMPLES // (model_cfg.S * model_cfg.T)
+        B = 2 * per_block + 1               # two whole blocks and a one-window tail
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((B, model_cfg.S, 1, model_cfg.T))
+        X[:, 0, 0, 0] = np.arange(B)        # each window's index, in its first sample
+        params = ModelParams(model_cfg, rng)
+        real = sst.model.cnn_block_forward
+        embedded = []
+
+        def recorded(x, *args):
+            embedded.append(x.data[:, 0, 0, 0].copy())
+            return real(x, *args)
+
+        monkeypatch.setattr(sst.model, "cnn_block_forward", recorded)
+        with ad.no_grad():
+            x = ad.Tensor(X)
+            trace = sst_forward(x, x, params, model_cfg)
+            whole = real(x, params, model_cfg)
+            reference = fuse(whole, whole, params, model_cfg)
+        assert sorted(len(ids) for ids in embedded) == [1, per_block, per_block]
+        np.testing.assert_array_equal(np.sort(np.concatenate(embedded)), np.arange(B))
+        assert trace.o_cnn_x.data.tobytes() == whole.data.tobytes()
+        assert trace.z.data.tobytes() == reference.z.data.tobytes()
 
     def test_checkpoints_byte_identical_under_seed(self, tmp_path):
         store = toy_store()
